@@ -114,12 +114,11 @@ def main(argv=None) -> int:
     try:
         if args.verb == "run":
             outcome = run_single(_load_run_config(args.config), args.out,
-                                 step=args.step, oracle=args.oracle or None,
-                                 keep_series=False)
+                                 step=args.step, oracle=args.oracle or None)
         elif args.verb == "preset":
             outcome = run_single(preset_config(args.name), args.out,
                                  step=args.step, oracle=args.oracle or None,
-                                 verb=f"preset {args.name}", keep_series=False)
+                                 verb=f"preset {args.name}")
         elif args.verb == "sweep":
             config = parse_config_file(args.config)
             if not isinstance(config, SweepConfig):

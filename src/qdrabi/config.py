@@ -15,8 +15,9 @@ Huang-Rhys factor may be given as `lambda` or derived from an explicit
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .dynamics import DynamicsSpec, ManifoldAmplitudes, ManifoldIndex, TimeGrid
 from .errors import ConfigError, InvalidSpectrumError
@@ -47,8 +48,8 @@ SWEEPABLE_KEYS = ("g_a", "g_b", "g_nl", "delta_a", "delta_b", "lambda", "m", "n"
 INITIAL_SLOTS = ("a", "b", "c", "d", "e", "f", "excited")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
 
-# config key -> RunConfig field (identity unless noted)
-_FIELD_BY_KEY = {
+# config key -> RunConfig field (identity unless noted), in manifest order
+FIELD_BY_KEY = {
     "g_a": "g_a", "g_b": "g_b", "g_nl": "g_nl",
     "delta_a": "delta_a", "delta_b": "delta_b", "lambda": "lam",
     "m": "m", "n": "n", "initial": "initial",
@@ -56,7 +57,7 @@ _FIELD_BY_KEY = {
     "oracle": "oracle", "oracle_mode": "oracle_mode",
     "cutoff_a": "cutoff_a", "cutoff_b": "cutoff_b",
 }
-_RUN_KEYS = set(_FIELD_BY_KEY) | {"omega_a", "omega_ex", "phonon_modes"}
+_RUN_KEYS = set(FIELD_BY_KEY) | {"omega_a", "omega_ex", "phonon_modes"}
 _SWEEP_KEYS = {"parameter", "values", "start", "stop", "count",
                "parameter2", "values2", "start2", "stop2", "count2"}
 _INT_KEYS = {"m", "n", "samples", "cutoff_a", "cutoff_b"}
@@ -105,9 +106,8 @@ class RunConfig:
     def to_dynamics_spec(self, step: float | None = None) -> DynamicsSpec:
         """Build the integrator spec; the detunings enter exactly as configured."""
         h = self.step if step is None else step
-        n_steps = max(1, int(round((self.t_end - self.t_start) / h)))
-        stride = max(1, int(round(n_steps / self.samples)))
-        grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=h, sample_every=stride)
+        grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=h)
+        grid = replace(grid, sample_every=max(1, int(round(grid.n_steps() / self.samples))))
         return DynamicsSpec(
             index=self.index(),
             g_a_eff=dressed_coupling(self.g_a, self.lam),
@@ -120,10 +120,13 @@ class RunConfig:
 
     def with_param(self, key: str, value) -> "RunConfig":
         """Copy with one config-keyed parameter replaced (used by sweeps)."""
-        fname = _FIELD_BY_KEY[key]
+        fname = FIELD_BY_KEY[key]
         if key in _INT_KEYS:
             value = int(value)
         return replace(self, **{fname: value})
+
+
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 @dataclass(frozen=True)
@@ -174,9 +177,12 @@ def _tokenize(text: str):
 
 def _parse_float(key, text, lineno) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number for '{key}', got {text!r}", line=lineno) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number for '{key}', got {text!r}", line=lineno)
+    return value
 
 
 def _parse_int(key, text, lineno) -> int:
@@ -261,8 +267,8 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
     values: dict[str, object] = {}
     defaulted = []
 
-    def take(key, default, kind="float", validate=None):
-        fname = _FIELD_BY_KEY[key]
+    def take(key, kind="float", validate=None):
+        fname = FIELD_BY_KEY[key]
         if key in run:
             text, lineno = run[key]
             if kind == "float":
@@ -278,28 +284,28 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
                 if err:
                     raise ConfigError(f"'{key}': {err}", line=lineno)
             values[fname] = val
-        elif key in swept:
-            values[fname] = default  # placeholder, replaced per sweep point
         else:
-            values[fname] = default
-            defaulted.append(key)
+            # g_nl has no default; when it is swept 0.0 is replaced per sweep point
+            values[fname] = _FIELD_DEFAULTS.get(fname, 0.0)
+            if key not in swept:
+                defaulted.append(key)
 
-    take("g_a", 1.0)
-    take("g_b", 1.0)
-    take("g_nl", 0.0)
-    take("m", 0, "int", lambda v: None if v >= 0 else "must be >= 0")
-    take("n", 0, "int", lambda v: None if v >= 0 else "must be >= 0")
-    take("initial", "excited", "str",
+    take("g_a")
+    take("g_b")
+    take("g_nl")
+    take("m", "int", lambda v: None if v >= 0 else "must be >= 0")
+    take("n", "int", lambda v: None if v >= 0 else "must be >= 0")
+    take("initial", "str",
          lambda v: None if v in INITIAL_SLOTS else f"must be one of {', '.join(INITIAL_SLOTS)}")
-    take("t_start", 0.0)
-    take("t_end", 25.0)
-    take("samples", 2500, "int", lambda v: None if v >= 1 else "must be >= 1")
-    take("step", 1e-3, "float", lambda v: None if v > 0 else "must be > 0")
-    take("oracle", False, "bool")
-    take("oracle_mode", "restricted", "str",
+    take("t_start")
+    take("t_end")
+    take("samples", "int", lambda v: None if v >= 1 else "must be >= 1")
+    take("step", validate=lambda v: None if v > 0 else "must be > 0")
+    take("oracle", "bool")
+    take("oracle_mode", "str",
          lambda v: None if v in ("restricted", "full") else "must be restricted or full")
-    take("cutoff_a", None, "int")
-    take("cutoff_b", None, "int")
+    take("cutoff_a", "int")
+    take("cutoff_b", "int")
 
     if values["t_end"] <= values["t_start"]:
         where = run.get("t_end", run.get("t_start", (None, None)))[1]
@@ -344,15 +350,8 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
         delta_b = _parse_float("delta_b", *run["delta_b"]) if has("delta_b") else 0.0
 
     return RunConfig(
-        g_nl=values["g_nl"], delta_a=delta_a, delta_b=delta_b, lam=lam,
-        g_a=values["g_a"], g_b=values["g_b"], shift=shift,
-        phonon_modes=spectrum_pairs,
-        m=values["m"], n=values["n"], initial=values["initial"],
-        t_start=values["t_start"], t_end=values["t_end"],
-        samples=values["samples"], step=values["step"],
-        oracle=values["oracle"], oracle_mode=values["oracle_mode"],
-        cutoff_a=values["cutoff_a"], cutoff_b=values["cutoff_b"],
-        defaulted=tuple(defaulted),
+        delta_a=delta_a, delta_b=delta_b, lam=lam, shift=shift,
+        phonon_modes=spectrum_pairs, defaulted=tuple(defaulted), **values,
     )
 
 
@@ -386,6 +385,9 @@ def _axis_values(sweep: dict, param: str, suffix: str) -> tuple:
             vals = [start]
         else:
             vals = [start + i * (stop - start) / (count - 1) for i in range(count)]
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"start{suffix}..stop{suffix} range is not finite",
+                              line=sweep[f"start{suffix}"][1])
         if int_valued:
             out = []
             for v in vals:
@@ -442,25 +444,21 @@ def write_config(config) -> str:
     """Canonical text form; parsing it back reproduces every float exactly."""
     base = config.base if isinstance(config, SweepConfig) else config
     lines = ["[run]"]
-    for key in ("g_a", "g_b", "g_nl", "delta_a", "delta_b"):
-        lines.append(f"{key} = {fmt(getattr(base, key))}")
-    spectrum_lam = None
-    if base.phonon_modes:
-        spectrum_lam = huang_rhys(PhononSpectrum.from_pairs(base.phonon_modes))
-    if spectrum_lam is None or spectrum_lam != base.lam:
-        # only write lambda when the spectrum cannot reproduce it, so a
-        # reparse does not warn about redundant sources
-        lines.append(f"lambda = {fmt(base.lam)}")
-    if base.phonon_modes:
-        pairs = ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in base.phonon_modes)
-        lines.append(f"phonon_modes = {pairs}")
-    for key in ("m", "n", "initial", "t_start", "t_end", "samples", "step",
-                "oracle", "oracle_mode"):
-        lines.append(f"{key} = {fmt(getattr(base, key))}")
-    for key in ("cutoff_a", "cutoff_b"):
-        value = getattr(base, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
+    for key, fname in FIELD_BY_KEY.items():
+        value = getattr(base, fname)
+        if key == "lambda":
+            spectrum_lam = None
+            if base.phonon_modes:
+                spectrum_lam = huang_rhys(PhononSpectrum.from_pairs(base.phonon_modes))
+            if spectrum_lam is None or spectrum_lam != base.lam:
+                # only write lambda when the spectrum cannot reproduce it, so a
+                # reparse does not warn about redundant sources
+                lines.append(f"lambda = {fmt(base.lam)}")
+            if base.phonon_modes:
+                pairs = ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in base.phonon_modes)
+                lines.append(f"phonon_modes = {pairs}")
+        elif value is not None:  # an unset cutoff is left out
+            lines.append(f"{key} = {fmt(value)}")
     if isinstance(config, SweepConfig):
         lines.append("")
         lines.append("[sweep]")

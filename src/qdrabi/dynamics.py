@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .model import Detunings, ModelParams
+from .model import Detunings
 
 __all__ = [
     "ManifoldIndex",
@@ -154,19 +154,6 @@ class DynamicsSpec:
         if not self.y0.norm() > 0.0:
             raise ValueError("initial state must have positive norm")
 
-    @classmethod
-    def from_params(
-        cls,
-        params: ModelParams,
-        index: ManifoldIndex = ManifoldIndex(),
-        y0: ManifoldAmplitudes | None = None,
-        grid: TimeGrid = TimeGrid(),
-    ) -> "DynamicsSpec":
-        if y0 is None:
-            y0 = ManifoldAmplitudes.unit("d")
-        return cls(index=index, g_a_eff=params.dressed_g_a(), g_b_eff=params.dressed_g_b(),
-                   g_nl=params.g_nl, detunings=params.detunings(), y0=y0, grid=grid)
-
     def with_grid(self, **changes) -> "DynamicsSpec":
         return replace(self, grid=replace(self.grid, **changes))
 
@@ -233,9 +220,6 @@ class TimeSeries:
 
     def max_norm_drift(self) -> float:
         return float(np.abs(self.norm - self.norm[0]).max())
-
-    def sample(self, i: int) -> ManifoldAmplitudes:
-        return ManifoldAmplitudes.from_array(self.amplitudes[i])
 
 
 def integrate(spec: DynamicsSpec) -> TimeSeries:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, SweepConfig, write_config
+from .config import FIELD_BY_KEY, RunConfig, SweepConfig, write_config
 from .dynamics import TimeSeries, integrate
 from .errors import IntegrationDivergedError
 from .oracle import compare, default_cutoffs, run_oracle
@@ -40,57 +40,47 @@ class RunOutcome:
     deviation: float | None = None
     max_leakage: float | None = None
     summary: dict = field(default_factory=dict)
-    series: TimeSeries | None = None
 
 
 def _param_entries(config: RunConfig, step: float) -> list[tuple[str, object]]:
     entries = []
-    for key in ("g_a", "g_b", "g_nl", "delta_a", "delta_b"):
-        entries.append((f"param.{key}", getattr(config, key)))
-    entries.append(("param.lambda", config.lam))
-    entries.append(("param.shift", config.shift))
-    if config.phonon_modes:
-        pairs = ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in config.phonon_modes)
-        entries.append(("param.phonon_modes", pairs))
-    for key in ("m", "n", "initial", "t_start", "t_end", "samples"):
-        entries.append((f"param.{key}", getattr(config, key)))
-    entries.append(("param.step", step))
-    entries.append(("param.oracle", config.oracle))
-    entries.append(("param.oracle_mode", config.oracle_mode))
-    if config.cutoff_a is not None:
-        entries.append(("param.cutoff_a", config.cutoff_a))
-    if config.cutoff_b is not None:
-        entries.append(("param.cutoff_b", config.cutoff_b))
+    for key, fname in FIELD_BY_KEY.items():
+        value = step if key == "step" else getattr(config, fname)
+        if value is None:  # an unset cutoff
+            continue
+        entries.append((f"param.{key}", value))
+        if key == "lambda":
+            entries.append(("param.shift", config.shift))
+            if config.phonon_modes:
+                pairs = ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in config.phonon_modes)
+                entries.append(("param.phonon_modes", pairs))
     entries.append(("defaulted", ", ".join(config.defaulted)))
     return entries
 
 
-def _cutoffs(config: RunConfig):
-    if config.cutoff_a is not None or config.cutoff_b is not None:
-        auto = default_cutoffs(config.index(), config.oracle_mode)
-        return (
-            config.cutoff_a if config.cutoff_a is not None else auto[0],
-            config.cutoff_b if config.cutoff_b is not None else auto[1],
-        )
-    return None
+def _cutoffs(config: RunConfig) -> tuple[int, int]:
+    auto = default_cutoffs(config.index(), config.oracle_mode)
+    return (
+        config.cutoff_a if config.cutoff_a is not None else auto[0],
+        config.cutoff_b if config.cutoff_b is not None else auto[1],
+    )
 
 
-def _oracle_report(config: RunConfig, series: TimeSeries, out_dir: Path,
+def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
                    dump_hamiltonian: bool):
     """Run the Fock-basis validator against an integrated series; write its report."""
     cutoffs = _cutoffs(config)
     mode = config.oracle_mode
     result = run_oracle(
         config.to_model_params(), series.t, index=config.index(),
-        y0=config.to_dynamics_spec().y0, mode=mode, cutoffs=cutoffs,
+        y0=y0, mode=mode, cutoffs=cutoffs,
     )
     deviation = compare(result, series)
     mismatch = mode == "restricted" and deviation > ORACLE_TOLERANCE
-    used = cutoffs if cutoffs is not None else default_cutoffs(config.index(), mode)
     lines = [
         f"mode = {mode}",
-        f"cutoff_a = {used[0]}",
-        f"cutoff_b = {used[1]}",
+        f"cutoff_a = {cutoffs[0]}",
+        f"cutoff_b = {cutoffs[1]}",
         f"tolerance = {fmt(ORACLE_TOLERANCE)}",
         f"max_deviation = {fmt(deviation)}",
         f"max_leakage = {fmt(result.max_leakage())}",
@@ -102,7 +92,7 @@ def _oracle_report(config: RunConfig, series: TimeSeries, out_dir: Path,
     if dump_hamiltonian:
         from .oracle import build_hamiltonian
 
-        ham = build_hamiltonian(config.to_model_params(), used[0], used[1],
+        ham = build_hamiltonian(config.to_model_params(), *cutoffs,
                                 mode=mode, index=config.index())
         write_matrix_txt(out_dir / "hamiltonian.txt", ham.matrix)
         files.append("hamiltonian.txt")
@@ -116,7 +106,6 @@ def run_single(
     oracle: bool | None = None,
     dump_hamiltonian: bool = False,
     verb: str = "run",
-    keep_series: bool = True,
     write_trajectory: bool = True,
 ) -> RunOutcome:
     """Integrate one configuration and write its artifacts; the manifest goes last."""
@@ -131,8 +120,9 @@ def run_single(
     ]
     files: list[str] = []
 
+    spec = config.to_dynamics_spec(step=h)
     try:
-        series = integrate(config.to_dynamics_spec(step=h))
+        series = integrate(spec)
     except IntegrationDivergedError as exc:
         entries += [("status", STATUS_DIVERGED), ("error", str(exc)),
                     ("t_last", exc.t_last), ("duration_s", time.perf_counter() - started)]
@@ -151,7 +141,7 @@ def run_single(
     outcome = RunOutcome(status=STATUS_OK, out_dir=str(out_dir))
     if oracle or (oracle is None and config.oracle):
         deviation, leakage, mismatch, extra = _oracle_report(
-            config, series, out_dir, dump_hamiltonian)
+            config, series, spec.y0, out_dir, dump_hamiltonian)
         outcome.deviation = deviation
         outcome.max_leakage = leakage
         files += extra
@@ -174,9 +164,6 @@ def run_single(
     write_manifest(out_dir / "manifest.txt", entries, files)
 
     outcome.files = files + ["manifest.txt"]
-    outcome.out_dir = str(out_dir)
-    if keep_series:
-        outcome.series = series
     return outcome
 
 
@@ -186,43 +173,15 @@ def oracle_check(
     step: float | None = None,
     dump_hamiltonian: bool = False,
 ) -> RunOutcome:
-    """The `check` verb: integrate, validate against the Fock oracle, report only."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    h = config.step if step is None else step
-    started = time.perf_counter()
-    entries = [("artifact", "qdrabi"), ("version", __version__), ("verb", "check")]
-
-    try:
-        series = integrate(config.to_dynamics_spec(step=h))
-    except IntegrationDivergedError as exc:
-        entries += [("status", STATUS_DIVERGED), ("error", str(exc)),
-                    ("t_last", exc.t_last), ("duration_s", time.perf_counter() - started)]
-        entries += _param_entries(config, h)
-        write_manifest(out_dir / "manifest.txt", entries, [])
-        return RunOutcome(status=STATUS_DIVERGED, out_dir=str(out_dir),
-                          files=["manifest.txt"], error=str(exc))
-
-    deviation, leakage, mismatch, files = _oracle_report(
-        config, series, out_dir, dump_hamiltonian)
-    status = STATUS_MISMATCH if mismatch else STATUS_OK
-    entries += [
-        ("status", status),
-        ("duration_s", time.perf_counter() - started),
-        ("max_norm_drift", series.max_norm_drift()),
-        ("oracle_deviation", deviation),
-        ("oracle_leakage", leakage),
-    ]
-    entries += _param_entries(config, h)
-    write_manifest(out_dir / "manifest.txt", entries, files)
-    return RunOutcome(status=status, out_dir=str(out_dir), files=files + ["manifest.txt"],
-                      deviation=deviation, max_leakage=leakage, series=series)
+    """The `check` verb: a run validated against the Fock oracle, with no trajectory files."""
+    return run_single(config, out_dir, step=step, oracle=True,
+                      dump_hamiltonian=dump_hamiltonian, verb="check", write_trajectory=False)
 
 
 def _sweep_point(args):
     index, point_dir, config, step, oracle = args
     outcome = run_single(config, point_dir, step=step, oracle=oracle,
-                         verb="sweep-point", keep_series=False)
+                         verb="sweep-point")
     return index, outcome
 
 

@@ -183,8 +183,8 @@ def test_criterion_6_figure_reproduction():
 
 def test_criterion_7_determinism(tmp_path):
     cfg = preset_config("fig3")
-    run_single(cfg, tmp_path / "one", keep_series=False)
-    run_single(cfg, tmp_path / "two", keep_series=False)
+    run_single(cfg, tmp_path / "one")
+    run_single(cfg, tmp_path / "two")
     same = all(
         (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
         for name in ("trajectory.csv", "p2.csv")

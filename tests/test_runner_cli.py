@@ -46,6 +46,22 @@ class TestRunSingle:
         assert "g_a" in entries["defaulted"]
         assert float(entries["max_norm_drift"]) < 1e-6  # coarse test step
 
+    def test_manifest_param_keys_in_order(self, tmp_path):
+        cfg = parse_config(FIG3_TEXT.replace("lambda = 0.01\n", "phonon_modes = 0.1:1, 0.05:2\n")
+                           + FAST + "cutoff_a = 5\n")
+        run_single(cfg, tmp_path / "out", step=0.02)
+        entries = parse_manifest(tmp_path / "out" / "manifest.txt")
+        keys = [k for k in entries if k.startswith("param.") or k == "defaulted"]
+        assert keys == [
+            "param.g_a", "param.g_b", "param.g_nl", "param.delta_a", "param.delta_b",
+            "param.lambda", "param.shift", "param.phonon_modes", "param.m", "param.n",
+            "param.initial", "param.t_start", "param.t_end", "param.samples", "param.step",
+            "param.oracle", "param.oracle_mode", "param.cutoff_a", "defaulted",
+        ]
+        assert entries["param.step"] == "0.02"
+        assert entries["defaulted"] == \
+            "g_a, g_b, m, n, initial, t_start, oracle, oracle_mode, cutoff_b"
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST)
         run_single(cfg, tmp_path / "one")
@@ -227,6 +243,35 @@ class TestCli:
         cfg_path = write(tmp_path / "div.cfg", DIVERGING_TEXT)
         assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
         capsys.readouterr()
+
+    def test_check_divergence_exits_2(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "div.cfg", DIVERGING_TEXT)
+        assert main(["check", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        capsys.readouterr()
+        entries = parse_manifest(tmp_path / "out" / "manifest.txt")
+        assert entries["verb"] == "check"
+        assert entries["status"] == "diverged"
+        assert "t_last" in entries
+        assert not (tmp_path / "out" / "deviation.txt").exists()
+
+    @pytest.mark.parametrize("text", [
+        FIG3_TEXT.replace("delta_a = 1", "delta_a = inf"),
+        FIG3_TEXT + "t_end = inf\n",
+        FIG3_TEXT + "t_end = nan\n",
+        FIG3_TEXT + "t_start = nan\n",
+        FIG3_TEXT.replace("g_nl = 2", "g_nl = nan"),
+        FIG3_TEXT.replace("lambda = 0.01", "lambda = nan"),
+        FIG3_TEXT + "g_a = inf\n",
+        FIG3_TEXT + "[sweep]\nparameter = g_nl\nvalues = 1, nan\n",
+        FIG3_TEXT + "[sweep]\nparameter = g_a\nstart = -1e308\nstop = 1e308\ncount = 3\n",
+    ], ids=["delta_a-inf", "t_end-inf", "t_end-nan", "t_start-nan", "g_nl-nan",
+            "lambda-nan", "g_a-inf", "sweep-values-nan", "sweep-range-overflow"])
+    def test_nonfinite_values_exit_1(self, tmp_path, capsys, text):
+        cfg_path = write(tmp_path / "bad.cfg", text)
+        verb = "sweep" if "[sweep]" in text else "run"
+        assert main([verb, cfg_path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line " in err and "finite" in err
 
     def test_oracle_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 10\nsamples = 100\n")
