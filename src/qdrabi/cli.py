@@ -8,6 +8,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import (
@@ -112,6 +113,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
+        if args.step is not None and not (math.isfinite(args.step) and args.step > 0):
+            raise ConfigError(f"--step must be finite and > 0, got {args.step!r}")
         if args.verb == "run":
             outcome = run_single(_load_run_config(args.config), args.out,
                                  step=args.step, oracle=args.oracle or None)

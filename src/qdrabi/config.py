@@ -41,12 +41,15 @@ __all__ = [
     "write_config",
     "preset_config",
     "PRESET_NAMES",
+    "MAX_STEPS",
 ]
 
 REQUIRED_KEYS = ("g_nl", "delta_a", "delta_b", "lambda")
 SWEEPABLE_KEYS = ("g_a", "g_b", "g_nl", "delta_a", "delta_b", "lambda", "m", "n", "step")
 INITIAL_SLOTS = ("a", "b", "c", "d", "e", "f", "excited")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
+# RK4 steps one trajectory may take: about 200 s at ~20 us/step, 400x the fig3 grid
+MAX_STEPS = 10_000_000
 
 # config key -> RunConfig field (identity unless noted), in manifest order
 FIELD_BY_KEY = {
@@ -104,9 +107,18 @@ class RunConfig:
         )
 
     def to_dynamics_spec(self, step: float | None = None) -> DynamicsSpec:
-        """Build the integrator spec; the detunings enter exactly as configured."""
+        """Build the integrator spec; the detunings enter exactly as configured.
+
+        Raises ConfigError when the grid takes more than MAX_STEPS steps.
+        """
         h = self.step if step is None else step
         grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=h)
+        steps = (grid.t_end - grid.t_start) / grid.step  # may be inf, which n_steps() cannot round
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                f"window [{self.t_start:g}, {self.t_end:g}] at step {h:g} takes "
+                f"{steps:.3g} steps, more than the limit of {MAX_STEPS}"
+            )
         grid = replace(grid, sample_every=max(1, int(round(grid.n_steps() / self.samples))))
         return DynamicsSpec(
             index=self.index(),

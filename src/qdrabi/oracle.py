@@ -5,10 +5,12 @@ fundamental photons, second-harmonic photons), propagates exactly by
 spectral decomposition, and rotates into the interaction picture so the
 result is directly comparable to the six-amplitude integrator.
 
-Restricted mode zeroes every off-diagonal element touching a state outside
-the six-state manifold, reproducing the truncation behind the amplitude
-equations exactly.  Full mode keeps everything the cutoffs allow, so the
-probability that leaks out of the manifold measures the truncation error.
+Both modes assemble the matrix from the same ladder-operator elements on an
+explicit list of basis states.  Restricted mode works on the six manifold
+states alone, reproducing the truncation behind the amplitude equations
+exactly; its cutoffs are only validated.  Full mode takes every state the
+cutoffs allow, so the probability that leaks out of the manifold measures
+the truncation error.
 """
 
 from __future__ import annotations
@@ -93,31 +95,17 @@ def default_cutoffs(index: ManifoldIndex, mode: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FockOperatorMatrix:
-    """Dense Hermitian Hamiltonian on the truncated basis, plus its layout."""
+    """Dense Hermitian Hamiltonian and the basis states that index its rows."""
 
     matrix: np.ndarray
-    n_a: int
-    n_b: int
-    mode: str
-    params: ModelParams
-    index: ManifoldIndex
-
-    @property
-    def dimension(self) -> int:
-        return 2 * (self.n_a + 1) * (self.n_b + 1)
+    states: list[BasisState]
 
 
-def _free_energies(params: ModelParams, n_a: int, n_b: int) -> np.ndarray:
+def _free_energies(params: ModelParams, states) -> np.ndarray:
     """Diagonal of the uncoupled Hamiltonian; the shifted exciton level sits on s=2 only."""
     level = params.omega_ex - params.shift
-    e0 = np.empty(2 * (n_a + 1) * (n_b + 1))
-    for s in (1, 2):
-        for m in range(n_a + 1):
-            for n in range(n_b + 1):
-                e0[basis_index(s, m, n, n_a, n_b)] = (
-                    params.omega_a * m + params.omega_b * n + level * (s - 1)
-                )
-    return e0
+    return np.array([params.omega_a * st.m + params.omega_b * st.n + level * (st.s - 1)
+                     for st in states])
 
 
 def build_hamiltonian(
@@ -131,8 +119,10 @@ def build_hamiltonian(
 
     Photon cutoffs must contain the manifold (n_a >= m+2, n_b >= n+1); full
     mode additionally demands two quanta of headroom in each mode and caps
-    cutoffs at MAX_FULL_CUTOFF.  The matrix is exactly conjugate-symmetric by
-    construction.
+    cutoffs at MAX_FULL_CUTOFF.  Full mode works on basis_states(n_a, n_b),
+    restricted mode on the six manifold_states(index) in amplitude order,
+    so its matrix is the 6x6 manifold block of the full one.  The matrix is
+    exactly conjugate-symmetric by construction.
     """
     if mode not in ("restricted", "full"):
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
@@ -152,45 +142,28 @@ def build_hamiltonian(
             raise ConfigError(
                 f"full-mode cutoffs are capped at {MAX_FULL_CUTOFF}, got ({n_a}, {n_b})"
             )
+        states = basis_states(n_a, n_b)
+    else:
+        states = list(manifold_states(index))
 
-    dim = 2 * (n_a + 1) * (n_b + 1)
-    ham = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(ham, _free_energies(params, n_a, n_b))
+    position = {(st.s, st.m, st.n): i for i, st in enumerate(states)}
+    ham = np.diag(_free_energies(params, states).astype(complex))
+    ga, gb, g_nl = params.dressed_g_a(), params.dressed_g_b(), params.g_nl
+    for (s, m, n), i in position.items():
+        # partners with more photons, one per ladder term:
+        # sigma+ a + h.c.      |2,m,n> <-> |1,m+1,n>,   element sqrt(m+1)
+        # sigma+ b + h.c.      |2,m,n> <-> |1,m,n+1>,   element sqrt(n+1)
+        # b (a^dag)^2 + h.c.   |s,m,n> <-> |s,m+2,n-1>, element sqrt(n(m+1)(m+2))
+        partners = [((1, m + 1, n), ga * math.sqrt(m + 1)),
+                    ((1, m, n + 1), gb * math.sqrt(n + 1))] if s == 2 else []
+        if n > 0:
+            partners.append(((s, m + 2, n - 1), g_nl * math.sqrt(n * (m + 1) * (m + 2))))
+        for partner, value in partners:
+            j = position.get(partner)
+            if j is not None:
+                ham[i, j] = ham[j, i] = value
 
-    ga = params.dressed_g_a()
-    gb = params.dressed_g_b()
-
-    def put(i: int, j: int, value: float):
-        ham[i, j] = value
-        ham[j, i] = value
-
-    # sigma+ a + sigma- a^dag: |2,m,n> <-> |1,m+1,n>, element sqrt(m+1)
-    for m in range(n_a):
-        for n in range(n_b + 1):
-            put(basis_index(2, m, n, n_a, n_b), basis_index(1, m + 1, n, n_a, n_b),
-                ga * math.sqrt(m + 1))
-    # sigma+ b + sigma- b^dag: |2,m,n> <-> |1,m,n+1>, element sqrt(n+1)
-    for m in range(n_a + 1):
-        for n in range(n_b):
-            put(basis_index(2, m, n, n_a, n_b), basis_index(1, m, n + 1, n_a, n_b),
-                gb * math.sqrt(n + 1))
-    # b (a^dag)^2 + b^dag a^2: |s,m,n+1> <-> |s,m+2,n>, element sqrt((n+1)(m+1)(m+2))
-    for s in (1, 2):
-        for m in range(n_a - 1):
-            for n in range(n_b):
-                put(basis_index(s, m + 2, n, n_a, n_b), basis_index(s, m, n + 1, n_a, n_b),
-                    params.g_nl * math.sqrt((n + 1) * (m + 1) * (m + 2)))
-
-    if mode == "restricted":
-        keep = np.zeros(dim, dtype=bool)
-        for state in manifold_states(index):
-            keep[basis_index(state.s, state.m, state.n, n_a, n_b)] = True
-        mask = np.outer(keep, keep)
-        np.fill_diagonal(mask, True)
-        ham[~mask] = 0.0
-
-    return FockOperatorMatrix(matrix=ham, n_a=n_a, n_b=n_b, mode=mode,
-                              params=params, index=index)
+    return FockOperatorMatrix(matrix=ham, states=states)
 
 
 def propagate(ham, psi0, times) -> np.ndarray:
@@ -200,7 +173,7 @@ def propagate(ham, psi0, times) -> np.ndarray:
     eigenbasis, so the evolution is unitary to eigensolver accuracy and the
     norm of psi0 is preserved.
     """
-    matrix = ham.matrix if isinstance(ham, FockOperatorMatrix) else np.asarray(ham, dtype=complex)
+    matrix = np.asarray(ham, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
     try:
@@ -216,16 +189,16 @@ def propagate(ham, psi0, times) -> np.ndarray:
     return (phases * coeffs) @ vectors.T
 
 
-def to_interaction_picture(psi_t, times, params: ModelParams, n_a: int, n_b: int) -> np.ndarray:
-    """Slowly varying amplitudes: each component gains exp(+i E0_k t) against its free energy."""
-    e0 = _free_energies(params, n_a, n_b)
+def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndarray:
+    """Slowly varying amplitudes: column k gains exp(+i E0 t), E0 the free energy of states[k]."""
+    e0 = _free_energies(params, states)
     times = np.asarray(times, dtype=float)
     return np.exp(1j * np.outer(times, e0)) * psi_t
 
 
 @dataclass
 class OracleResult:
-    """Manifold-projected oracle trajectory plus the probability that left the manifold."""
+    """Manifold-projected oracle trajectory, its leakage, and the Hamiltonian used."""
 
     t: np.ndarray
     amplitudes: np.ndarray
@@ -233,6 +206,7 @@ class OracleResult:
     norm: np.ndarray
     leakage: np.ndarray
     mode: str
+    hamiltonian: FockOperatorMatrix
 
     def max_leakage(self) -> float:
         return float(self.leakage.max())
@@ -252,23 +226,24 @@ def run_oracle(
     n_a, n_b = cutoffs if cutoffs is not None else default_cutoffs(index, mode)
     ham = build_hamiltonian(params, n_a, n_b, mode=mode, index=index)
 
-    slots = [basis_index(st.s, st.m, st.n, n_a, n_b) for st in manifold_states(index)]
-    psi0 = np.zeros(ham.dimension, dtype=complex)
+    six = manifold_states(index)
+    slots = [ham.states.index(st) for st in six]
+    psi0 = np.zeros(len(ham.states), dtype=complex)
     y0_flat = y0.as_tuple()
     for k, slot in enumerate(slots):
         psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
 
-    psi_t = propagate(ham, psi0, times)
+    psi_t = propagate(ham.matrix, psi0, times)
     inside = (np.abs(psi_t[:, slots]) ** 2).sum(axis=1)
     total = (np.abs(psi_t) ** 2).sum(axis=1)
-    amps_c = to_interaction_picture(psi_t, times, params, n_a, n_b)[:, slots]
+    amps_c = to_interaction_picture(psi_t[:, slots], times, params, six)
 
     amplitudes = np.empty((len(amps_c), 12))
     amplitudes[:, 0::2] = amps_c.real
     amplitudes[:, 1::2] = amps_c.imag
     p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
     return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes, p2=p2,
-                        norm=total, leakage=total - inside, mode=mode)
+                        norm=total, leakage=total - inside, mode=mode, hamiltonian=ham)
 
 
 def compare(oracle: OracleResult, ode: TimeSeries) -> float:

@@ -90,11 +90,7 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
     with open(out_dir / "deviation.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if dump_hamiltonian:
-        from .oracle import build_hamiltonian
-
-        ham = build_hamiltonian(config.to_model_params(), *cutoffs,
-                                mode=mode, index=config.index())
-        write_matrix_txt(out_dir / "hamiltonian.txt", ham.matrix)
+        write_matrix_txt(out_dir / "hamiltonian.txt", result.hamiltonian.matrix)
         files.append("hamiltonian.txt")
     return deviation, result.max_leakage(), mismatch, files
 
@@ -109,9 +105,10 @@ def run_single(
     write_trajectory: bool = True,
 ) -> RunOutcome:
     """Integrate one configuration and write its artifacts; the manifest goes last."""
+    h = config.step if step is None else step
+    spec = config.to_dynamics_spec(step=h)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    h = config.step if step is None else step
     started = time.perf_counter()
     entries = [
         ("artifact", "qdrabi"),
@@ -120,7 +117,6 @@ def run_single(
     ]
     files: list[str] = []
 
-    spec = config.to_dynamics_spec(step=h)
     try:
         series = integrate(spec)
     except IntegrationDivergedError as exc:
@@ -197,10 +193,12 @@ def run_sweep(
     Failed points are recorded in the manifest and skipped in the summary;
     the outcome is `partial` if any point failed.
     """
+    points = sweep.points()
+    for _, cfg in points:  # a grid over MAX_STEPS fails here, before any point runs
+        cfg.to_dynamics_spec(step=step)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    points = sweep.points()
     width = max(3, len(str(len(points) - 1)))
     names = [f"point_{i:0{width}d}" for i in range(len(points))]
 
@@ -209,6 +207,7 @@ def run_sweep(
         for i, (_, cfg) in enumerate(points)
     ]
     outcomes: list[RunOutcome | None] = [None] * len(points)
+    workers = min(workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, outcome in pool.map(_sweep_point, jobs):

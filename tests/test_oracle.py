@@ -52,17 +52,26 @@ class TestBuildHamiltonian:
 
     def test_restricted_nonlinear_pairs(self):
         # with only g_nl, the vacuum manifold carries exactly one coupled
-        # pair per dot level, |s,0,1> <-> |s,2,0>, each with element
+        # pair per dot level, a = |2,2,0> <-> b = |2,0,1> and
+        # e = |1,2,0> <-> c = |1,0,1>, each with element
         # g_nl*sqrt((0+1)(0+1)(0+2))
         p = params(g_nl=1.7)
         ham = build_hamiltonian(p, 2, 1, mode="restricted").matrix
-        off = ham - np.diag(np.diag(ham))
-        for s in (1, 2):
-            i = basis_index(s, 0, 1, 2, 1)
-            j = basis_index(s, 2, 0, 2, 1)
-            assert off[i, j] == pytest.approx(1.7 * math.sqrt(2.0), rel=1e-15)
-            off[i, j] = off[j, i] = 0.0
-        assert not np.abs(off).any()
+        assert ham.shape == (6, 6)
+        a, b, c, d, e, f = range(6)
+        expected = np.zeros((6, 6))
+        expected[a, b] = expected[b, a] = expected[e, c] = expected[c, e] = 1.7 * math.sqrt(2.0)
+        np.testing.assert_array_equal(ham - np.diag(np.diag(ham)), expected)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 2)])
+    def test_restricted_is_manifold_block_of_full(self, m, n):
+        p = params(g_a=1.2, g_b=0.5, g_nl=0.8, lam=0.3)
+        index = ManifoldIndex(m, n)
+        n_a, n_b = default_cutoffs(index, "full")
+        full = build_hamiltonian(p, n_a, n_b, mode="full", index=index).matrix
+        slots = [basis_index(st.s, st.m, st.n, n_a, n_b) for st in manifold_states(index)]
+        restricted = build_hamiltonian(p, n_a, n_b, mode="restricted", index=index).matrix
+        assert np.array_equal(restricted, full[np.ix_(slots, slots)])
 
     def test_full_mode_is_exactly_hermitian(self):
         rng = np.random.default_rng(11)
@@ -134,7 +143,7 @@ class TestInteractionPicture:
     def test_identity_at_time_zero(self):
         p = params(g_a=1.0, g_b=0.5, g_nl=2.0)
         psi = np.arange(12, dtype=complex).reshape(1, 12)
-        out = to_interaction_picture(psi, [0.0], p, 2, 1)
+        out = to_interaction_picture(psi, [0.0], p, basis_states(2, 1))
         np.testing.assert_array_equal(out, psi)
 
     def test_free_evolution_gives_constant_amplitudes(self):

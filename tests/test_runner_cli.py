@@ -9,9 +9,11 @@ from qdrabi import (
     run_single,
     run_sweep,
     oracle_check,
+    runner,
     verify_manifest,
 )
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
+from qdrabi.config import MAX_STEPS
 from qdrabi.serialize import parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
@@ -122,8 +124,18 @@ class TestOracleCheck:
         cfg = parse_config(FIG3_TEXT + FAST)
         oracle_check(cfg, tmp_path / "out", dump_hamiltonian=True)
         dump = (tmp_path / "out" / "hamiltonian.txt").read_text().splitlines()
-        assert len(dump) == 2 * 3 * 2  # restricted default cutoffs (2, 1)
+        assert len(dump) == 6  # restricted mode: the manifold block, a..f
         verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    def test_restricted_cutoffs_only_validated(self, tmp_path):
+        # restricted cost does not grow with the cutoffs
+        cfg_path = write(tmp_path / "run.cfg",
+                         FIG3_TEXT + FAST_CHECK + "cutoff_a = 400\ncutoff_b = 400\n")
+        out = tmp_path / "out"
+        assert main(["check", cfg_path, "--out", str(out), "--dump-hamiltonian"]) == EXIT_OK
+        assert len((out / "hamiltonian.txt").read_text().splitlines()) == 6
+        report = parse_manifest(out / "deviation.txt")
+        assert (report["cutoff_a"], report["cutoff_b"]) == ("400", "400")
 
 
 class TestSweep:
@@ -182,6 +194,27 @@ class TestSweep:
         for point in ("point_000", "point_001"):
             assert (tmp_path / "seq" / point / "trajectory.csv").read_bytes() == \
                 (tmp_path / "par" / point / "trajectory.csv").read_bytes()
+
+    def test_workers_capped_at_point_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2\n")
+        assert run_sweep(cfg, tmp_path / "sweep", workers=64).status == "ok"
+        assert started == [2]
 
 
 class TestCli:
@@ -272,6 +305,28 @@ class TestCli:
         assert main([verb, cfg_path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "line " in err and "finite" in err
+
+    @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-0.01"])
+    def test_bad_step_flag_exits_1(self, tmp_path, capsys, verb, step):
+        sweep = "[sweep]\nparameter = g_nl\nvalues = 1\n" if verb == "sweep" else ""
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST + sweep)
+        assert main([verb, cfg_path, "--out", str(tmp_path / "out"), "--step", step]) == EXIT_USAGE
+        assert "--step must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, text, flags", [
+        ("run", FIG3_TEXT + "step = 1e-12\n", []),
+        ("run", FIG3_TEXT, ["--step", "1e-12"]),
+        ("check", FIG3_TEXT, ["--step", "1e-12"]),
+        ("sweep", FIG3_TEXT + FAST + "[sweep]\nparameter = step\nvalues = 0.01, 1e-12\n", []),
+    ], ids=["config", "run-flag", "check-flag", "swept-step"])
+    def test_step_count_limit_exits_1(self, tmp_path, capsys, verb, text, flags):
+        cfg_path = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "out"
+        assert main([verb, cfg_path, "--out", str(out)] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "e+13 steps" in err and f"limit of {MAX_STEPS}" in err
+        assert not out.exists()  # rejected before any work started
 
     def test_oracle_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 10\nsamples = 100\n")
