@@ -205,7 +205,6 @@ class OracleResult:
     p2: np.ndarray
     norm: np.ndarray
     leakage: np.ndarray
-    mode: str
     hamiltonian: FockOperatorMatrix
 
     def max_leakage(self) -> float:
@@ -243,7 +242,7 @@ def run_oracle(
     amplitudes[:, 1::2] = amps_c.imag
     p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
     return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes, p2=p2,
-                        norm=total, leakage=total - inside, mode=mode, hamiltonian=ham)
+                        norm=total, leakage=total - inside, hamiltonian=ham)
 
 
 def compare(oracle: OracleResult, ode: TimeSeries) -> float:

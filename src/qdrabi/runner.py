@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +57,11 @@ def _param_entries(config: RunConfig, step: float) -> list[tuple[str, object]]:
                 entries.append(("param.phonon_modes", pairs))
     entries.append(("defaulted", ", ".join(config.defaulted)))
     return entries
+
+
+def _grid_entries(grid) -> list[tuple[str, object]]:
+    return [("n_steps", grid.n_steps()), ("sample_every", grid.sample_every),
+            ("t_final", grid.t_final())]
 
 
 def _cutoffs(config: RunConfig) -> tuple[int, int]:
@@ -122,7 +128,7 @@ def run_single(
     except IntegrationDivergedError as exc:
         entries += [("status", STATUS_DIVERGED), ("error", str(exc)),
                     ("t_last", exc.t_last), ("duration_s", time.perf_counter() - started)]
-        entries += _param_entries(config, h)
+        entries += _grid_entries(spec.grid) + _param_entries(config, h)
         write_manifest(out_dir / "manifest.txt", entries, files)
         return RunOutcome(status=STATUS_DIVERGED, out_dir=str(out_dir),
                           files=files + ["manifest.txt"], error=str(exc))
@@ -143,6 +149,8 @@ def run_single(
         files += extra
         if mismatch:
             outcome.status = STATUS_MISMATCH
+            outcome.error = (f"oracle deviation {fmt(deviation)} exceeds the tolerance "
+                             f"{fmt(ORACLE_TOLERANCE)}")
 
     outcome.summary = {
         "max_p2": float(series.p2.max()),
@@ -156,7 +164,7 @@ def run_single(
     if outcome.deviation is not None:
         entries.append(("oracle_deviation", outcome.deviation))
         entries.append(("oracle_leakage", outcome.max_leakage))
-    entries += _param_entries(config, h)
+    entries += _grid_entries(spec.grid) + _param_entries(config, h)
     write_manifest(out_dir / "manifest.txt", entries, files)
 
     outcome.files = files + ["manifest.txt"]
@@ -207,7 +215,7 @@ def run_sweep(
         for i, (_, cfg) in enumerate(points)
     ]
     outcomes: list[RunOutcome | None] = [None] * len(points)
-    workers = min(workers, len(points))
+    workers = min(workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, outcome in pool.map(_sweep_point, jobs):
@@ -239,6 +247,7 @@ def run_sweep(
         ("duration_s", time.perf_counter() - started),
         ("points", len(points)),
         ("failed_points", len(failed)),
+        ("workers", workers),
         ("swept", ", ".join(axis_names)),
     ]
     files = ["summary.csv"]
@@ -246,6 +255,8 @@ def run_sweep(
         tag = ", ".join(fmt(float(v)) if isinstance(v, float) else str(v) for v in values)
         entries.append((f"point.{name}.values", tag))
         entries.append((f"point.{name}.status", outcome.status))
+        if outcome.status != STATUS_OK:
+            entries.append((f"point.{name}.error", outcome.error))
         files += [f"{name}/{rel}" for rel in outcome.files]
     write_manifest(out_dir / "manifest.txt", entries, files)
     return RunOutcome(status=status, out_dir=str(out_dir), files=files + ["manifest.txt"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from qdrabi import (
     ManifoldAmplitudes,
     ManifoldIndex,
     TimeGrid,
+    TimeSeries,
     excited_population,
     integrate,
     jc_baseline,
     nl_block_baseline,
+    parse_config,
+    preset_config,
     rhs,
 )
+from qdrabi.dynamics import _derivs, _phase_rates
 
 
 def make_spec(g_a=1.0, g_b=1.0, g_nl=0.0, delta_a=0.0, delta_b=0.0, lam=0.0,
@@ -161,6 +166,117 @@ class TestIntegrate:
         series = integrate(spec)
         assert series.t[0] == 0.0
         assert series.t[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_integrate(spec):
+    """Classical RK4, one Python step at a time: the reference for the step-matrix propagator."""
+    ga, gb, gk, da, db = spec.coefficients()
+    grid = spec.grid
+    h = grid.step
+    t0 = grid.t_start
+    n_steps = grid.n_steps()
+    stride = grid.sample_every
+
+    y = spec.y0.as_tuple()
+    ts = [t0]
+    ys = [y]
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    for i in range(n_steps):
+        t = t0 + i * h
+        k1 = _derivs(t, y, ga, gb, gk, da, db)
+        k2 = _derivs(t + h2, tuple(v + h2 * k for v, k in zip(y, k1)), ga, gb, gk, da, db)
+        k3 = _derivs(t + h2, tuple(v + h2 * k for v, k in zip(y, k2)), ga, gb, gk, da, db)
+        k4 = _derivs(t + h, tuple(v + h * k for v, k in zip(y, k3)), ga, gb, gk, da, db)
+        y = tuple(
+            v + h6 * (p + 2.0 * q + 2.0 * r + s)
+            for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+        )
+        if (i + 1) % stride == 0 or i + 1 == n_steps:
+            norm = sum(v * v for v in y)
+            if not norm < math.inf:
+                raise IntegrationDivergedError(
+                    f"state became nonfinite between t={ts[-1]!r} and t={t0 + (i + 1) * h!r}",
+                    t_last=ts[-1],
+                )
+            ts.append(t0 + (i + 1) * h)
+            ys.append(y)
+
+    amplitudes = np.array(ys)
+    p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
+    return TimeSeries(t=np.array(ts), amplitudes=amplitudes, p2=p2,
+                      norm=(amplitudes ** 2).sum(axis=1))
+
+
+# every slot populated, so a phase error in any slot shows
+RANDOM_Y0 = ManifoldAmplitudes.from_array(np.random.default_rng(11).normal(size=12))
+
+
+def _fig(name, y0=None, **grid):
+    spec = preset_config(name).to_dynamics_spec()
+    if y0 is not None:
+        spec = replace(spec, y0=y0)
+    return spec.with_grid(**grid) if grid else spec
+
+
+PROPAGATOR_CASES = {
+    "fig3": lambda: _fig("fig3"),
+    "fig4": lambda: _fig("fig4"),
+    "fig5": lambda: _fig("fig5"),
+    "t_start": lambda: _fig("fig3", RANDOM_Y0, t_start=3.7, t_end=13.7),
+    "backward": lambda: _fig("fig4", RANDOM_Y0, t_start=10.0, t_end=0.0, step=-1e-3),
+    "partial_stride": lambda: _fig("fig5", t_end=5.0, sample_every=7),
+    "m1_n2_random_y0": lambda: make_spec(
+        g_a=0.8, g_b=1.3, g_nl=0.6, delta_a=0.9, delta_b=-0.4, lam=0.2, m=1, n=2,
+        y0=RANDOM_Y0, t_end=8.0),
+    "coarse_step": lambda: _fig("fig3", step=0.3, t_end=25.0, sample_every=1),
+}
+
+
+class TestStepMatrixPropagator:
+    @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
+    def test_matches_per_step_reference(self, case):
+        spec = PROPAGATOR_CASES[case]()
+        got, want = integrate(spec), reference_integrate(spec)
+        assert np.array_equal(got.t, want.t)
+        assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+        assert np.abs(got.p2 - want.p2).max() <= 1e-12
+
+    def test_divergence_time_matches_reference(self):
+        spec = parse_config(
+            "g_nl = 10\ndelta_a = 0\ndelta_b = 0\nlambda = 0\ng_a = 0\ng_b = 0\n"
+            "initial = b\nt_end = 100000\nstep = 100\n").to_dynamics_spec()
+        with pytest.raises(IntegrationDivergedError) as got:
+            integrate(spec)
+        with pytest.raises(IntegrationDivergedError) as want:
+            reference_integrate(spec)
+        assert got.value.t_last == want.value.t_last
+        assert str(got.value) == str(want.value)
+
+    def test_generator_is_covariant_under_time_shifts(self):
+        # A(t) = R(t) A(0) R(t)^T, R(t) turning slot pairs by the rates the
+        # propagator uses: a wrong entry in the rate table breaks this
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            spec = make_spec(
+                g_a=rng.uniform(0.1, 2), g_b=rng.uniform(0.1, 2), g_nl=rng.uniform(0, 2),
+                delta_a=rng.uniform(-2, 2), delta_b=rng.uniform(-2, 2),
+                m=int(rng.integers(0, 3)), n=int(rng.integers(0, 3)))
+            ga, gb, _, da, db = spec.coefficients()
+            rates = _phase_rates(ga, gb, da, db)
+
+            def generator(t):
+                return np.column_stack([
+                    rhs(t, ManifoldAmplitudes.from_array(unit), spec).as_tuple()
+                    for unit in np.eye(12)])
+
+            t = rng.uniform(0, 30)
+            rot = np.zeros((12, 12))
+            for slot, angle in enumerate(rates * t):
+                c, s = math.cos(angle), math.sin(angle)
+                rot[2 * slot:2 * slot + 2, 2 * slot:2 * slot + 2] = ((c, -s), (s, c))
+            residual = generator(t) - rot @ generator(0.0) @ rot.T
+            assert np.abs(residual).max() <= 1e-14
 
 
 class TestExcitedPopulation:

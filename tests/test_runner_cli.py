@@ -64,6 +64,22 @@ class TestRunSingle:
         assert entries["defaulted"] == \
             "g_a, g_b, m, n, initial, t_start, oracle, oracle_mode, cutoff_b"
 
+    def test_manifest_records_grid(self, tmp_path):
+        # 0.3 does not divide 25: the last sample lands at 83 * 0.3, short of t_end
+        cfg = parse_config(FIG3_TEXT + "t_end = 25\nstep = 0.3\n")
+        assert run_single(cfg, tmp_path / "out").status == "ok"
+        entries = parse_manifest(tmp_path / "out" / "manifest.txt")
+        assert (entries["n_steps"], entries["sample_every"]) == ("83", "1")
+        assert entries["t_final"] == "24.899999999999999"
+        assert entries["param.t_end"] == "25"
+        last = (tmp_path / "out" / "p2.csv").read_text().splitlines()[-1]
+        assert last.startswith(entries["t_final"] + ",")
+
+        run_single(parse_config(DIVERGING_TEXT), tmp_path / "div")
+        entries = parse_manifest(tmp_path / "div" / "manifest.txt")
+        assert (entries["n_steps"], entries["sample_every"]) == ("1000", "1")
+        assert entries["t_final"] == "100000"
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST)
         run_single(cfg, tmp_path / "one")
@@ -106,6 +122,12 @@ class TestOracleCheck:
         outcome = oracle_check(cfg, tmp_path / "out", step=0.3)
         assert outcome.status == "oracle-mismatch"
         assert outcome.deviation > 1e-8
+
+    def test_mismatch_says_why(self, tmp_path):
+        cfg = parse_config(FIG3_TEXT + "t_end = 10\nsamples = 100\n")
+        outcome = oracle_check(cfg, tmp_path / "out", step=0.3)
+        assert outcome.error.startswith("oracle deviation ")
+        assert outcome.error.endswith(" exceeds the tolerance 1e-08")
 
     def test_zero_coupling_config_has_vanishing_deviation(self, tmp_path):
         cfg = parse_config("g_nl = 0\ng_a = 0\ng_b = 0\ndelta_a = 1\ndelta_b = 0.3\n"
@@ -215,6 +237,46 @@ class TestSweep:
         cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2\n")
         assert run_sweep(cfg, tmp_path / "sweep", workers=64).status == "ok"
         assert started == [2]
+
+
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2, 3, 4, 5\n")
+        assert run_sweep(cfg, tmp_path / "sweep", workers=5000).status == "ok"
+        assert started == [4]
+        entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
+        assert entries["workers"] == "4"
+
+    def test_failed_point_error_recorded(self, tmp_path):
+        text = (
+            "delta_a = 0\ndelta_b = 0\nlambda = 0\ng_a = 0\ng_b = 0\ninitial = b\n"
+            "t_end = 50\nstep = 0.05\nsamples = 1000\n"
+            "[sweep]\nparameter = g_nl\nvalues = 0.001, 10000000\n"
+        )
+        run_sweep(parse_config(text), tmp_path / "sweep")
+        entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
+        assert "point.point_000.error" not in entries
+        assert entries["point.point_001.error"].startswith("state became nonfinite between t=")
+        point = parse_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
+        assert entries["point.point_001.error"] == point["error"]
+        assert point["t_final"] == "50"
+        assert entries["workers"] == "1"
 
 
 class TestCli:
