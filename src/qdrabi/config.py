@@ -4,7 +4,10 @@ The format is deliberately minimal: one `key = value` pair per line,
 `#` comments, and two optional section headers `[run]` and `[sweep]`.
 Keys before any header belong to [run].  Unknown keys are rejected with
 the offending line number.  Floats survive a write/parse round trip
-exactly (17 significant digits).
+exactly (17 significant digits).  One table, `_KEYS`, gives each [run] key
+its field, parser and check; a swept value passes the same parse and check
+as the [run] key it replaces, and a sweep grid holds at most MAX_POINTS
+points.
 
 A run is parameterized either directly by the detunings the figure
 captions quote (delta_a, delta_b) or by the underlying frequencies
@@ -42,6 +45,7 @@ __all__ = [
     "preset_config",
     "PRESET_NAMES",
     "MAX_STEPS",
+    "MAX_POINTS",
 ]
 
 REQUIRED_KEYS = ("g_nl", "delta_a", "delta_b", "lambda")
@@ -50,20 +54,12 @@ INITIAL_SLOTS = ("a", "b", "c", "d", "e", "f", "excited")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
 # RK4 steps one trajectory may take: about 200 s at ~20 us/step, 400x the fig3 grid
 MAX_STEPS = 10_000_000
+# points one sweep grid may have: every point's spec is built and checked before
+# the first runs (about 5 s and 130 MB at this limit), and each writes a directory
+MAX_POINTS = 100_000
 
-# config key -> RunConfig field (identity unless noted), in manifest order
-FIELD_BY_KEY = {
-    "g_a": "g_a", "g_b": "g_b", "g_nl": "g_nl",
-    "delta_a": "delta_a", "delta_b": "delta_b", "lambda": "lam",
-    "m": "m", "n": "n", "initial": "initial",
-    "t_start": "t_start", "t_end": "t_end", "samples": "samples", "step": "step",
-    "oracle": "oracle", "oracle_mode": "oracle_mode",
-    "cutoff_a": "cutoff_a", "cutoff_b": "cutoff_b",
-}
-_RUN_KEYS = set(FIELD_BY_KEY) | {"omega_a", "omega_ex", "phonon_modes"}
 _SWEEP_KEYS = {"parameter", "values", "start", "stop", "count",
                "parameter2", "values2", "start2", "stop2", "count2"}
-_INT_KEYS = {"m", "n", "samples", "cutoff_a", "cutoff_b"}
 _BOOL_TRUE = {"true", "yes", "on", "1"}
 _BOOL_FALSE = {"false", "no", "off", "0"}
 
@@ -130,13 +126,6 @@ class RunConfig:
             grid=grid,
         )
 
-    def with_param(self, key: str, value) -> "RunConfig":
-        """Copy with one config-keyed parameter replaced (used by sweeps)."""
-        fname = FIELD_BY_KEY[key]
-        if key in _INT_KEYS:
-            value = int(value)
-        return replace(self, **{fname: value})
-
 
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
@@ -157,13 +146,8 @@ class SweepConfig:
         grid = [()]
         for axis in self.axes:
             grid = [prefix + (v,) for prefix in grid for v in axis.values]
-        out = []
-        for values in grid:
-            cfg = self.base
-            for axis, v in zip(self.axes, values):
-                cfg = cfg.with_param(axis.parameter, v)
-            out.append((values, cfg))
-        return out
+        names = [FIELD_BY_KEY[axis.parameter] for axis in self.axes]
+        return [(values, replace(self.base, **dict(zip(names, values)))) for values in grid]
 
 
 def _tokenize(text: str):
@@ -211,6 +195,55 @@ def _parse_bool(key, text, lineno) -> bool:
     if low in _BOOL_FALSE:
         return False
     raise ConfigError(f"expected true/false for '{key}', got {text!r}", line=lineno)
+
+
+def _parse_text(key, text, lineno) -> str:
+    return text
+
+
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+
+# config key -> (RunConfig field, parser, check), in manifest order; a check is
+# (predicate, error) and holds for every value of the key, swept ones too
+_KEYS = {
+    "g_a": ("g_a", _parse_float, None),
+    "g_b": ("g_b", _parse_float, None),
+    "g_nl": ("g_nl", _parse_float, None),
+    "delta_a": ("delta_a", _parse_float, None),
+    "delta_b": ("delta_b", _parse_float, None),
+    "lambda": ("lam", _parse_float, _AT_LEAST_0),
+    "m": ("m", _parse_int, _AT_LEAST_0),
+    "n": ("n", _parse_int, _AT_LEAST_0),
+    "initial": ("initial", _parse_text, (INITIAL_SLOTS.__contains__,
+                                         f"must be one of {', '.join(INITIAL_SLOTS)}")),
+    "t_start": ("t_start", _parse_float, None),
+    "t_end": ("t_end", _parse_float, None),
+    "samples": ("samples", _parse_int, (lambda v: v >= 1, "must be >= 1")),
+    "step": ("step", _parse_float, (lambda v: v > 0, "must be > 0")),
+    "oracle": ("oracle", _parse_bool, None),
+    "oracle_mode": ("oracle_mode", _parse_text, (("restricted", "full").__contains__,
+                                                 "must be restricted or full")),
+    "cutoff_a": ("cutoff_a", _parse_int, None),
+    "cutoff_b": ("cutoff_b", _parse_int, None),
+}
+FIELD_BY_KEY = {key: fname for key, (fname, _, _) in _KEYS.items()}
+_RUN_KEYS = set(_KEYS) | {"omega_a", "omega_ex", "phonon_modes"}
+
+
+def _check(key, value, lineno) -> None:
+    _, _, check = _KEYS[key]
+    if check is not None:
+        holds, error = check
+        if not holds(value):
+            raise ConfigError(f"'{key}': {error}", line=lineno)
+
+
+def _value(key, text, lineno):
+    """Parse one value of a [run] key, from [run] or a sweep's values, and check it."""
+    _, parse, _ = _KEYS[key]
+    value = parse(key, text, lineno)
+    _check(key, value, lineno)
+    return value
 
 
 def _parse_modes(text, lineno) -> tuple[tuple[float, float], ...]:
@@ -278,46 +311,17 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
 
     values: dict[str, object] = {}
     defaulted = []
-
-    def take(key, kind="float", validate=None):
-        fname = FIELD_BY_KEY[key]
+    for key, (fname, _, _) in _KEYS.items():
         if key in run:
-            text, lineno = run[key]
-            if kind == "float":
-                val = _parse_float(key, text, lineno)
-            elif kind == "int":
-                val = _parse_int(key, text, lineno)
-            elif kind == "bool":
-                val = _parse_bool(key, text, lineno)
-            else:
-                val = text
-            if validate is not None:
-                err = validate(val)
-                if err:
-                    raise ConfigError(f"'{key}': {err}", line=lineno)
-            values[fname] = val
-        else:
-            # g_nl has no default; when it is swept 0.0 is replaced per sweep point
-            values[fname] = _FIELD_DEFAULTS.get(fname, 0.0)
+            values[fname] = _value(key, *run[key])
+        elif fname in _FIELD_DEFAULTS:
+            values[fname] = _FIELD_DEFAULTS[fname]
             if key not in swept:
                 defaulted.append(key)
-
-    take("g_a")
-    take("g_b")
-    take("g_nl")
-    take("m", "int", lambda v: None if v >= 0 else "must be >= 0")
-    take("n", "int", lambda v: None if v >= 0 else "must be >= 0")
-    take("initial", "str",
-         lambda v: None if v in INITIAL_SLOTS else f"must be one of {', '.join(INITIAL_SLOTS)}")
-    take("t_start")
-    take("t_end")
-    take("samples", "int", lambda v: None if v >= 1 else "must be >= 1")
-    take("step", validate=lambda v: None if v > 0 else "must be > 0")
-    take("oracle", "bool")
-    take("oracle_mode", "str",
-         lambda v: None if v in ("restricted", "full") else "must be restricted or full")
-    take("cutoff_a", "int")
-    take("cutoff_b", "int")
+        else:
+            # no default: a swept key is replaced per sweep point, lambda and
+            # the detunings may still come from phonon_modes or omega_* below
+            values[fname] = 0.0
 
     if values["t_end"] <= values["t_start"]:
         where = run.get("t_end", run.get("t_start", (None, None)))[1]
@@ -325,7 +329,6 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
 
     spectrum_pairs: tuple = ()
     shift = 0.0
-    lam_from_spectrum = None
     if has("phonon_modes"):
         text, lineno = run["phonon_modes"]
         spectrum_pairs = _parse_modes(text, lineno)
@@ -335,40 +338,28 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
             raise ConfigError(str(exc), line=lineno) from exc
         shift = polaron_shift(spectrum)
         lam_from_spectrum = huang_rhys(spectrum)
-
-    if has("lambda"):
-        text, lineno = run["lambda"]
-        lam = _parse_float("lambda", text, lineno)
-        if lam < 0:
-            raise ConfigError("'lambda': must be >= 0", line=lineno)
-        if lam_from_spectrum is not None:
+        if has("lambda"):
             warnings.warn(
                 "both lambda and phonon_modes given; using the direct lambda "
-                f"({fmt(lam)}) over the spectrum-derived value ({fmt(lam_from_spectrum)})",
+                f"({fmt(values['lam'])}) over the spectrum-derived value "
+                f"({fmt(lam_from_spectrum)})",
                 stacklevel=2,
             )
-    elif lam_from_spectrum is not None:
-        lam = lam_from_spectrum
-    else:
-        lam = 0.0  # swept
+        else:
+            values["lam"] = lam_from_spectrum
 
     if via_omega:
         omega_a = _parse_float("omega_a", *run["omega_a"])
         omega_ex = _parse_float("omega_ex", *run["omega_ex"])
         dets = detunings(omega_ex, omega_a, shift)
-        delta_a, delta_b = dets.delta_a, dets.delta_b
-    else:
-        delta_a = _parse_float("delta_a", *run["delta_a"]) if has("delta_a") else 0.0
-        delta_b = _parse_float("delta_b", *run["delta_b"]) if has("delta_b") else 0.0
+        values["delta_a"], values["delta_b"] = dets.delta_a, dets.delta_b
 
-    return RunConfig(
-        delta_a=delta_a, delta_b=delta_b, lam=lam, shift=shift,
-        phonon_modes=spectrum_pairs, defaulted=tuple(defaulted), **values,
-    )
+    return RunConfig(shift=shift, phonon_modes=spectrum_pairs, defaulted=tuple(defaulted),
+                     **values)
 
 
-def _axis_values(sweep: dict, param: str, suffix: str) -> tuple:
-    int_valued = param in ("m", "n")
+def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
+    """Checked values of one sweep axis; `outer` is the point count of the axes before it."""
     has_values = f"values{suffix}" in sweep
     has_range = any(f"{k}{suffix}" in sweep for k in ("start", "stop", "count"))
     if has_values and has_range:
@@ -381,37 +372,41 @@ def _axis_values(sweep: dict, param: str, suffix: str) -> tuple:
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ConfigError(f"values{suffix} is empty", line=lineno)
-        if int_valued:
-            return tuple(_parse_int(param, p, lineno) for p in parts)
-        return tuple(_parse_float(param, p, lineno) for p in parts)
-    if has_range:
+        count = len(parts)
+    elif has_range:
         for k in ("start", "stop", "count"):
             if f"{k}{suffix}" not in sweep:
                 raise ConfigError(f"linear range needs start{suffix}, stop{suffix} and count{suffix}")
-        start = _parse_float("start", *sweep[f"start{suffix}"])
+        start_text, start_line = sweep[f"start{suffix}"]
+        start = _parse_float("start", start_text, start_line)
         stop = _parse_float("stop", *sweep[f"stop{suffix}"])
-        count = _parse_int("count", *sweep[f"count{suffix}"])
+        count_text, lineno = sweep[f"count{suffix}"]
+        count = _parse_int("count", count_text, lineno)
         if count < 1:
-            raise ConfigError("'count': must be >= 1", line=sweep[f"count{suffix}"][1])
-        if count == 1:
-            vals = [start]
-        else:
-            vals = [start + i * (stop - start) / (count - 1) for i in range(count)]
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError(f"start{suffix}..stop{suffix} range is not finite",
-                              line=sweep[f"start{suffix}"][1])
-        if int_valued:
-            out = []
-            for v in vals:
-                if v != int(v):
-                    raise ConfigError(
-                        f"swept values for '{param}' must be integers, got {v!r}",
-                        line=sweep[f"start{suffix}"][1],
-                    )
-                out.append(int(v))
-            return tuple(out)
-        return tuple(vals)
-    raise ConfigError(f"sweep axis '{param}' has no values{suffix} or range")
+            raise ConfigError("'count': must be >= 1", line=lineno)
+    else:
+        raise ConfigError(f"sweep axis '{param}' has no values{suffix} or range")
+    if outer * count > MAX_POINTS:
+        raise ConfigError(f"sweep grid of {outer * count} points is more than the limit "
+                          f"of {MAX_POINTS}", line=lineno)
+    if has_values:
+        return tuple(_value(param, p, lineno) for p in parts)
+
+    if count == 1:
+        vals = [start]
+    else:
+        vals = [start + i * (stop - start) / (count - 1) for i in range(count)]
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"start{suffix}..stop{suffix} range is not finite", line=start_line)
+    if _KEYS[param][1] is _parse_int:  # photon numbers
+        for v in vals:
+            if v != int(v):
+                raise ConfigError(f"swept values for '{param}' must be integers, got {v!r}",
+                                  line=start_line)
+        vals = [int(v) for v in vals]
+    for v in vals:
+        _check(param, v, start_line)
+    return tuple(vals)
 
 
 def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
@@ -434,7 +429,8 @@ def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
         if param in swept:
             raise ConfigError(f"parameter '{param}' swept twice", line=lineno)
         swept.add(param)
-        axes.append(SweepAxis(parameter=param, values=_axis_values(sweep, param, suffix)))
+        outer = math.prod(len(axis.values) for axis in axes)
+        axes.append(SweepAxis(parameter=param, values=_axis_values(sweep, param, suffix, outer)))
     base = _resolve_run(run, swept)
     return SweepConfig(base=base, axes=tuple(axes))
 

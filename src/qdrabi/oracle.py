@@ -33,6 +33,7 @@ __all__ = [
     "basis_index",
     "manifold_states",
     "default_cutoffs",
+    "check_cutoffs",
     "build_hamiltonian",
     "propagate",
     "to_interaction_picture",
@@ -93,6 +94,31 @@ def default_cutoffs(index: ManifoldIndex, mode: str) -> tuple[int, int]:
     return index.m + 4, index.n + 3
 
 
+def check_cutoffs(n_a: int, n_b: int, mode: str, index: ManifoldIndex) -> None:
+    """Raise ConfigError unless the photon cutoffs suit the mode around `index`.
+
+    Cutoffs must contain the manifold (n_a >= m+2, n_b >= n+1); full mode
+    additionally demands two quanta of headroom in each mode and caps the
+    cutoffs at MAX_FULL_CUTOFF.
+    """
+    need_a, need_b = index.m + 2, index.n + 1
+    if n_a < need_a or n_b < need_b:
+        raise ConfigError(
+            f"cutoffs ({n_a}, {n_b}) cannot contain the (m={index.m}, n={index.n}) "
+            f"manifold; need at least ({need_a}, {need_b})"
+        )
+    if mode == "full":
+        if n_a < need_a + 2 or n_b < need_b + 2:
+            raise ConfigError(
+                f"full mode needs two quanta of headroom beyond the manifold: "
+                f"cutoffs ({n_a}, {n_b}) < ({need_a + 2}, {need_b + 2})"
+            )
+        if n_a > MAX_FULL_CUTOFF or n_b > MAX_FULL_CUTOFF:
+            raise ConfigError(
+                f"full-mode cutoffs are capped at {MAX_FULL_CUTOFF}, got ({n_a}, {n_b})"
+            )
+
+
 @dataclass(frozen=True)
 class FockOperatorMatrix:
     """Dense Hermitian Hamiltonian and the basis states that index its rows."""
@@ -117,31 +143,15 @@ def build_hamiltonian(
 ) -> FockOperatorMatrix:
     """Assemble the transformed Hamiltonian with the phonon operator at its mean exp(-lam/2).
 
-    Photon cutoffs must contain the manifold (n_a >= m+2, n_b >= n+1); full
-    mode additionally demands two quanta of headroom in each mode and caps
-    cutoffs at MAX_FULL_CUTOFF.  Full mode works on basis_states(n_a, n_b),
-    restricted mode on the six manifold_states(index) in amplitude order,
-    so its matrix is the 6x6 manifold block of the full one.  The matrix is
-    exactly conjugate-symmetric by construction.
+    The cutoffs must pass check_cutoffs.  Full mode works on
+    basis_states(n_a, n_b), restricted mode on the six manifold_states(index)
+    in amplitude order, so its matrix is the 6x6 manifold block of the full
+    one.  The matrix is exactly conjugate-symmetric by construction.
     """
     if mode not in ("restricted", "full"):
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
-    need_a, need_b = index.m + 2, index.n + 1
-    if n_a < need_a or n_b < need_b:
-        raise ConfigError(
-            f"cutoffs ({n_a}, {n_b}) cannot contain the (m={index.m}, n={index.n}) "
-            f"manifold; need at least ({need_a}, {need_b})"
-        )
+    check_cutoffs(n_a, n_b, mode, index)
     if mode == "full":
-        if n_a < need_a + 2 or n_b < need_b + 2:
-            raise ConfigError(
-                f"full mode needs two quanta of headroom beyond the manifold: "
-                f"cutoffs ({n_a}, {n_b}) < ({need_a + 2}, {need_b + 2})"
-            )
-        if n_a > MAX_FULL_CUTOFF or n_b > MAX_FULL_CUTOFF:
-            raise ConfigError(
-                f"full-mode cutoffs are capped at {MAX_FULL_CUTOFF}, got ({n_a}, {n_b})"
-            )
         states = basis_states(n_a, n_b)
     else:
         states = list(manifold_states(index))

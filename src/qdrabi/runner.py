@@ -12,7 +12,7 @@ from . import __version__
 from .config import FIELD_BY_KEY, RunConfig, SweepConfig, write_config
 from .dynamics import TimeSeries, integrate
 from .errors import IntegrationDivergedError
-from .oracle import compare, default_cutoffs, run_oracle
+from .oracle import check_cutoffs, compare, default_cutoffs, run_oracle
 from .serialize import (
     fmt,
     write_manifest,
@@ -65,11 +65,14 @@ def _grid_entries(grid) -> list[tuple[str, object]]:
 
 
 def _cutoffs(config: RunConfig) -> tuple[int, int]:
+    """The oracle's (n_a, n_b), configured or automatic; ConfigError if they do not fit."""
     auto = default_cutoffs(config.index(), config.oracle_mode)
-    return (
+    cutoffs = (
         config.cutoff_a if config.cutoff_a is not None else auto[0],
         config.cutoff_b if config.cutoff_b is not None else auto[1],
     )
+    check_cutoffs(*cutoffs, config.oracle_mode, config.index())
+    return cutoffs
 
 
 def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
@@ -113,6 +116,9 @@ def run_single(
     """Integrate one configuration and write its artifacts; the manifest goes last."""
     h = config.step if step is None else step
     spec = config.to_dynamics_spec(step=h)
+    with_oracle = oracle or (oracle is None and config.oracle)
+    if with_oracle:
+        _cutoffs(config)  # bad cutoffs fail here, before any output exists
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -141,7 +147,7 @@ def run_single(
         files += ["trajectory.csv", "p2.csv", "resolved_config.txt"]
 
     outcome = RunOutcome(status=STATUS_OK, out_dir=str(out_dir))
-    if oracle or (oracle is None and config.oracle):
+    if with_oracle:
         deviation, leakage, mismatch, extra = _oracle_report(
             config, series, spec.y0, out_dir, dump_hamiltonian)
         outcome.deviation = deviation
@@ -202,8 +208,10 @@ def run_sweep(
     the outcome is `partial` if any point failed.
     """
     points = sweep.points()
-    for _, cfg in points:  # a grid over MAX_STEPS fails here, before any point runs
+    for _, cfg in points:  # too many steps or bad cutoffs fail here, before any point runs
         cfg.to_dynamics_spec(step=step)
+        if oracle or (oracle is None and cfg.oracle):
+            _cutoffs(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

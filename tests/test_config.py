@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdrabi import (
     ConfigError,
@@ -10,6 +11,7 @@ from qdrabi import (
     preset_config,
     write_config,
 )
+from qdrabi.config import FIELD_BY_KEY, MAX_POINTS, SWEEPABLE_KEYS
 
 
 class TestRunParsing:
@@ -155,6 +157,49 @@ class TestSweepParsing:
     def test_noninteger_values_for_photon_number_rejected(self):
         with pytest.raises(ConfigError, match="integers"):
             parse_config(self.BASE + "[sweep]\nparameter = n\nstart = 0\nstop = 1\ncount = 3\n")
+
+    @pytest.mark.parametrize("axes", [
+        "parameter = g_nl\nstart = 0\nstop = 1\ncount = 1000000000000\n",
+        "parameter = g_nl\nstart = 0\nstop = 1\ncount = 100000\n"
+        "parameter2 = lambda\nstart2 = 0\nstop2 = 1\ncount2 = 100000\n",
+        "parameter = g_nl\nstart = 0\nstop = 1\ncount = 1000\n"
+        "parameter2 = m\nvalues2 = " + ", ".join(["0"] * 101) + "\n",
+    ], ids=["count", "count2", "values2"])
+    def test_grid_bounded_before_it_is_built(self, axes):
+        # the last line of `axes` is the one that takes the grid over the limit
+        line = len((self.BASE + "[sweep]\n" + axes).splitlines())
+        with pytest.raises(ConfigError, match=f"line {line}: .*limit of {MAX_POINTS}"):
+            parse_config(self.BASE + "[sweep]\n" + axes)
+
+
+number = st.one_of(st.integers(-3, 3), st.floats(-3, 3))
+
+
+@st.composite
+def sweep_axis(draw):
+    key = draw(st.sampled_from(SWEEPABLE_KEYS))
+    if draw(st.booleans()):
+        values = draw(st.lists(number, min_size=1, max_size=4))
+        return key, "values = " + ", ".join(map(repr, values))
+    start, stop, count = draw(number), draw(number), draw(st.integers(1, 4))
+    return key, f"start = {start!r}\nstop = {stop!r}\ncount = {count}"
+
+
+class TestSweepProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_axis())
+    def test_every_point_builds_or_config_error(self, axis):
+        # any other exception fails the test: swept values must be checked
+        # like [run] values, not surface later as a traceback
+        key, lines = axis
+        try:
+            cfg = parse_config(TestSweepParsing.BASE + f"[sweep]\nparameter = {key}\n{lines}\n")
+            points = cfg.points()
+            for _, point in points:
+                point.to_dynamics_spec()
+        except ConfigError:
+            return
+        assert all(getattr(point, FIELD_BY_KEY[key]) == value for (value,), point in points)
 
 
 class TestRoundTrip:

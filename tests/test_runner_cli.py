@@ -390,6 +390,39 @@ class TestCli:
         assert "e+13 steps" in err and f"limit of {MAX_STEPS}" in err
         assert not out.exists()  # rejected before any work started
 
+    @pytest.mark.parametrize("axis", [
+        "parameter = m\nvalues = -1\n",
+        "parameter = n\nvalues = -2\n",
+        "parameter = step\nvalues = 0\n",
+        "parameter = step\nvalues = -0.01\n",
+        "parameter = lambda\nvalues = -1\n",
+        "parameter = lambda\nstart = -1\nstop = 1\ncount = 3\n",
+    ], ids=["m=-1", "n=-2", "step=0", "step=-0.01", "lambda=-1", "lambda-range"])
+    def test_swept_value_out_of_range_exits_1(self, tmp_path, capsys, axis):
+        # a swept value obeys the same rule as the [run] key it replaces
+        cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + FAST + "[sweep]\n" + axis)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--out", str(out)]) == EXIT_USAGE
+        key = axis.split("\n")[0].removeprefix("parameter = ")
+        assert f"config error: line 10: '{key}': must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, text, flags", [
+        ("run", FIG3_TEXT + FAST + "oracle = true\ncutoff_a = 1\n", []),
+        ("sweep", FIG3_TEXT + FAST + "oracle = true\ncutoff_a = 4\n"
+         "[sweep]\nparameter = m\nvalues = 0, 5\n", []),
+        ("sweep", FIG3_TEXT + FAST + "oracle_mode = full\n"
+         "[sweep]\nparameter = m\nvalues = 0, 14\n", ["--oracle"]),
+    ], ids=["run-cutoff_a", "sweep-cutoff_a", "sweep-full-cap"])
+    def test_bad_oracle_cutoffs_exit_1_before_any_output(self, tmp_path, capsys, verb, text,
+                                                         flags):
+        cfg_path = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "out"
+        assert main([verb, cfg_path, "--out", str(out)] + flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: " in err and "cutoffs" in err
+        assert not out.exists()
+
     def test_oracle_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 10\nsamples = 100\n")
         code = main(["check", cfg_path, "--out", str(tmp_path / "out"), "--step", "0.3"])
