@@ -45,6 +45,7 @@ __all__ = [
     "preset_config",
     "PRESET_NAMES",
     "MAX_STEPS",
+    "MAX_ROWS",
     "MAX_POINTS",
 ]
 
@@ -54,6 +55,9 @@ INITIAL_SLOTS = ("a", "b", "c", "d", "e", "f", "excited")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
 # RK4 steps one trajectory may take: about 200 s at ~20 us/step, 400x the fig3 grid
 MAX_STEPS = 10_000_000
+# samples one trajectory may keep: each is a row of trajectory.csv and p2.csv
+# (about 300 MB of text at this limit), 400x the default grid
+MAX_ROWS = 1_000_000
 # points one sweep grid may have: every point's spec is built and checked before
 # the first runs (about 5 s and 130 MB at this limit), and each writes a directory
 MAX_POINTS = 100_000
@@ -105,7 +109,8 @@ class RunConfig:
     def to_dynamics_spec(self, step: float | None = None) -> DynamicsSpec:
         """Build the integrator spec; the detunings enter exactly as configured.
 
-        Raises ConfigError when the grid takes more than MAX_STEPS steps.
+        Raises ConfigError when the grid takes more than MAX_STEPS steps or
+        keeps more than MAX_ROWS samples.
         """
         h = self.step if step is None else step
         grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=h)
@@ -116,6 +121,11 @@ class RunConfig:
                 f"{steps:.3g} steps, more than the limit of {MAX_STEPS}"
             )
         grid = replace(grid, sample_every=max(1, int(round(grid.n_steps() / self.samples))))
+        if grid.n_samples() > MAX_ROWS:
+            raise ConfigError(
+                f"samples = {self.samples} at step {h:g} keeps {grid.n_samples()} samples, "
+                f"more than the limit of {MAX_ROWS} rows"
+            )
         return DynamicsSpec(
             index=self.index(),
             g_a_eff=dressed_coupling(self.g_a, self.lam),
@@ -223,8 +233,8 @@ _KEYS = {
     "oracle": ("oracle", _parse_bool, None),
     "oracle_mode": ("oracle_mode", _parse_text, (("restricted", "full").__contains__,
                                                  "must be restricted or full")),
-    "cutoff_a": ("cutoff_a", _parse_int, None),
-    "cutoff_b": ("cutoff_b", _parse_int, None),
+    "cutoff_a": ("cutoff_a", _parse_int, _AT_LEAST_0),
+    "cutoff_b": ("cutoff_b", _parse_int, _AT_LEAST_0),
 }
 FIELD_BY_KEY = {key: fname for key, (fname, _, _) in _KEYS.items()}
 _RUN_KEYS = set(_KEYS) | {"omega_a", "omega_ex", "phonon_modes"}

@@ -141,6 +141,11 @@ class TimeGrid:
     def n_steps(self) -> int:
         return max(1, int(round((self.t_end - self.t_start) / self.step)))
 
+    def n_samples(self) -> int:
+        """Samples kept: step 0, every `sample_every`-th step, and the final step."""
+        strides, rest = divmod(self.n_steps(), self.sample_every)
+        return strides + 1 + (rest > 0)
+
     def t_final(self) -> float:
         """Time of the last sample; differs from t_end when the step does not divide the window."""
         return self.t_start + self.n_steps() * self.step

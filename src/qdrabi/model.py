@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _const
-
 from .errors import InvalidSpectrumError
 
 __all__ = [
@@ -27,6 +25,11 @@ __all__ = [
     "detunings",
     "gnl_from_material",
 ]
+
+# SI constants (CODATA 2022): the vacuum permittivity in F/m, and the reduced
+# Planck constant in J s from the exact Planck constant of the 2019 SI
+EPSILON_0 = 8.8541878188e-12
+HBAR = 6.62607015e-34 / (2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ class MaterialConstants:
     chi2: float
     eps_r: float
     vol_r: float
-    eps0: float = _const.epsilon_0
+    eps0: float = EPSILON_0
 
     def __post_init__(self):
         if not self.eps_r > 0.0:
@@ -198,6 +201,5 @@ def gnl_from_material(mat: MaterialConstants, omega_a: float) -> float:
     """
     if not omega_a > 0.0:
         raise ValueError(f"mode frequency must be > 0, got {omega_a!r}")
-    hbar = _const.hbar
-    photon_energy_term = (hbar * omega_a / (mat.eps0 * mat.eps_r)) ** 1.5
-    return mat.eps0 * photon_energy_term * mat.chi2 / math.sqrt(mat.vol_r) / hbar
+    photon_energy_term = (HBAR * omega_a / (mat.eps0 * mat.eps_r)) ** 1.5
+    return mat.eps0 * photon_energy_term * mat.chi2 / math.sqrt(mat.vol_r) / HBAR

@@ -37,37 +37,51 @@ def fmt(x) -> str:
     return str(x)
 
 
+# rows formatted per `%` call: the text and the tuple of floats for one block
+# take a few MB however many samples a run keeps
+_BLOCK_ROWS = 4096
+
+
 def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
+def _write_rows(fh, columns, row_template: str):
+    """Write the rows of `columns` (1-D or 2-D float arrays) through `row_template`.
+
+    Each block of rows is formatted by one `%` call.  `%.17g` and
+    `format(x, ".17g")` use the same float-to-text routine, so the text is
+    the same as formatting each value on its own.
+    """
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([col[lo:lo + _BLOCK_ROWS] for col in columns])
+        fh.write((row_template * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _write_csv(path, header: str, columns):
+    """A header line, then one comma-separated row per sample, one value per header name."""
+    width = header.count(",") + 1
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, columns, "%.17g," * (width - 1) + "%.17g\n")
+
+
 def write_timeseries_csv(path, series: TimeSeries):
     """Full trajectory: t, the 12 real amplitudes, excited population, norm."""
-    lines = [CSV_HEADER]
-    for i in range(len(series)):
-        row = [series.t[i], *series.amplitudes[i], series.p2[i], series.norm[i]]
-        lines.append(",".join(format(float(v), ".17g") for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, CSV_HEADER, [series.t, series.amplitudes, series.p2, series.norm])
 
 
 def write_p2_csv(path, series: TimeSeries):
     """Two-column plot file: t, p2."""
-    lines = ["t,p2"]
-    for i in range(len(series)):
-        lines.append(f"{format(float(series.t[i]), '.17g')},{format(float(series.p2[i]), '.17g')}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "t,p2", [series.t, series.p2])
 
 
 def write_matrix_txt(path, matrix: np.ndarray):
     """Row-major dump of a complex matrix: space-separated re,im pairs, one row per line."""
-    matrix = np.asarray(matrix, dtype=complex)
-    lines = []
-    for row in matrix:
-        lines.append(" ".join(
-            f"{format(z.real, '.17g')},{format(z.imag, '.17g')}" for z in row
-        ))
-    _write_text(path, "\n".join(lines) + "\n")
+    pairs = np.ascontiguousarray(matrix, dtype=complex).view(float)  # re, im interleaved
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_rows(fh, [pairs], " ".join(["%.17g,%.17g"] * (pairs.shape[1] // 2)) + "\n")
 
 
 def sha256_file(path) -> str:

@@ -239,6 +239,7 @@ class TestStepMatrixPropagator:
         spec = PROPAGATOR_CASES[case]()
         got, want = integrate(spec), reference_integrate(spec)
         assert np.array_equal(got.t, want.t)
+        assert len(got) == spec.grid.n_samples()  # the count the row limit checks
         assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
         assert np.abs(got.p2 - want.p2).max() <= 1e-12
 

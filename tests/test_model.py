@@ -169,7 +169,7 @@ class TestMaterialCoupling:
     def test_gaas_like_si_evaluation(self):
         # chi2 = 370 pm/V, eps_r = 12.25, V_r = 1 um^3, omega_a = 1.3e15 rad/s;
         # expected value computed independently with a 50-digit evaluation of
-        # the same expression (mpmath), using scipy's CODATA constants.
+        # the same expression (mpmath), using the CODATA 2022 constants.
         mat = MaterialConstants(chi2=370e-12, eps_r=12.25, vol_r=1e-18)
         assert gnl_from_material(mat, 1.3e15) == pytest.approx(1395970802.6619942, rel=1e-12)
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdrabi
 from qdrabi import (
     parse_config,
     preset_config,
@@ -13,7 +18,7 @@ from qdrabi import (
     verify_manifest,
 )
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
-from qdrabi.config import MAX_STEPS
+from qdrabi.config import MAX_ROWS, MAX_STEPS
 from qdrabi.serialize import parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
@@ -390,6 +395,31 @@ class TestCli:
         assert "e+13 steps" in err and f"limit of {MAX_STEPS}" in err
         assert not out.exists()  # rejected before any work started
 
+    @pytest.mark.parametrize("verb, text", [
+        ("run", FIG3_TEXT + "step = 1e-5\nsamples = 1000000000\n"),
+        ("check", FIG3_TEXT + "step = 1e-5\nsamples = 1000000000\n"),
+        ("sweep", FIG3_TEXT + "samples = 1000000000\n"
+         "[sweep]\nparameter = step\nvalues = 0.01, 1e-5\n"),
+    ], ids=["run", "check", "swept-step"])
+    def test_row_limit_exits_1(self, tmp_path, capsys, verb, text):
+        cfg_path = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "out"
+        assert main([verb, cfg_path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "keeps 2500001 samples" in err and f"limit of {MAX_ROWS} rows" in err
+        assert not out.exists()  # rejected before any work started
+
+    @pytest.mark.parametrize("text", ["cutoff_a = -3\n", "cutoff_b = -1\n"],
+                             ids=["cutoff_a", "cutoff_b"])
+    def test_run_value_out_of_range_exits_1(self, tmp_path, capsys, text):
+        # checked by the key table even when no oracle runs to use the value
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST + text)
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_USAGE
+        key = text.split(" = ")[0]
+        assert f"config error: line 8: '{key}': must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis", [
         "parameter = m\nvalues = -1\n",
         "parameter = n\nvalues = -2\n",
@@ -422,6 +452,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: " in err and "cutoffs" in err
         assert not out.exists()
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test and benchmark dependency only
+        src = str(Path(qdrabi.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import qdrabi.cli, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_oracle_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 10\nsamples = 100\n")

@@ -1,9 +1,16 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdrabi import integrate, preset_config
+from qdrabi import integrate, parse_config, preset_config
+from qdrabi.cli import EXIT_OK, main
+from qdrabi.oracle import build_hamiltonian, default_cutoffs
 from qdrabi.serialize import (
+    _BLOCK_ROWS,
     CSV_HEADER,
+    _write_rows,
     parse_manifest,
     sha256_file,
     verify_manifest,
@@ -12,6 +19,43 @@ from qdrabi.serialize import (
     write_p2_csv,
     write_timeseries_csv,
 )
+from qdrabi.signal import dominant_angular_frequency
+
+
+def reference_rows(rows):
+    """The per-value writer the block formatter replaced: one `format` call per value."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+
+
+def reference_timeseries_csv(series):
+    rows = np.column_stack([series.t, series.amplitudes, series.p2, series.norm])
+    return CSV_HEADER + "\n" + reference_rows(rows)
+
+
+def reference_p2_csv(series):
+    return "t,p2\n" + reference_rows(np.column_stack([series.t, series.p2]))
+
+
+def reference_matrix_txt(matrix):
+    return "".join(
+        " ".join(f"{format(z.real, '.17g')},{format(z.imag, '.17g')}" for z in row) + "\n"
+        for row in np.asarray(matrix, dtype=complex)
+    )
+
+
+def block_text(rows):
+    fh = io.StringIO()
+    width = rows.shape[1]
+    _write_rows(fh, [rows], "%.17g," * (width - 1) + "%.17g\n")
+    return fh.getvalue()
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, float("inf"), float("-inf"),
+    float("nan"), 0.1, 1 / 3, -2.5, 123456789012345678.0,
+]
+ROW_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +96,30 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(data[:, 1], short_series.p2)
 
 
+class TestBlockFormatting:
+    # random finite doubles, subnormals, -0.0, inf and nan (st.floats draws all of
+    # them), repeated to fill rows that straddle a block edge
+    @settings(max_examples=25, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=64),
+           width=st.sampled_from([1, 2, 15]), rows=st.sampled_from(ROW_COUNTS))
+    def test_percent_form_equals_format_per_value(self, values, width, rows):
+        data = np.resize(np.array(values), (rows, width))
+        assert block_text(data) == reference_rows(data)
+
+    @pytest.mark.parametrize("width", [1, 2, 15])
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_special_values_at_block_edges(self, width, rows):
+        data = np.resize(np.array(SPECIAL_VALUES), (rows, width))
+        assert block_text(data) == reference_rows(data)
+
+    def test_columns_are_stacked_per_block(self):
+        rng = np.random.default_rng(7)
+        t, mat = rng.normal(size=_BLOCK_ROWS + 3), rng.normal(size=(_BLOCK_ROWS + 3, 4))
+        fh = io.StringIO()
+        _write_rows(fh, [t, mat], "%.17g," * 4 + "%.17g\n")
+        assert fh.getvalue() == reference_rows(np.column_stack([t, mat]))
+
+
 class TestMatrixDump:
     def test_format_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -65,6 +133,7 @@ class TestMatrixDump:
             for line in lines
         ])
         np.testing.assert_array_equal(rebuilt, mat)
+        assert path.read_text() == reference_matrix_txt(mat)
 
 
 class TestManifest:
@@ -91,3 +160,55 @@ class TestManifest:
         write_manifest(tmp_path / "manifest.txt", [("artifact", "qdrabi")], [])
         with pytest.raises(ValueError, match="no files"):
             verify_manifest(tmp_path / "manifest.txt")
+
+
+FIG3_SHORT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\nt_end = 2\n"
+
+
+def file_digests(out_dir, skip_manifests=False):
+    """The manifest's file.* digests; point manifests record durations, so may be skipped."""
+    entries = parse_manifest(out_dir / "manifest.txt")
+    return {k: v for k, v in entries.items()
+            if k.startswith("file.") and not (skip_manifests and k.endswith("manifest.txt"))}
+
+
+class TestByteIdentity:
+    """Files written through the command line equal the per-value reference writers' text."""
+
+    def test_sweep_outputs(self, tmp_path):
+        text = FIG3_SHORT + ("[sweep]\nparameter = g_nl\nvalues = 0.5, 2\n"
+                             "parameter2 = delta_a\nvalues2 = 0.2, 1\n")
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(text)
+        for name in ("first", "rerun"):
+            argv = ["sweep", str(cfg_path), "--out", str(tmp_path / name), "--workers", "2"]
+            assert main(argv) == EXIT_OK
+        out = tmp_path / "first"
+        summary = []
+        for i, (values, point) in enumerate(parse_config(text).points()):
+            series = integrate(point.to_dynamics_spec())
+            point_dir = out / f"point_{i:03d}"
+            assert (point_dir / "trajectory.csv").read_bytes() == \
+                reference_timeseries_csv(series).encode()
+            assert (point_dir / "p2.csv").read_bytes() == reference_p2_csv(series).encode()
+            summary.append([*values, series.p2.max(), series.p2.min(),
+                            dominant_angular_frequency(series.t, series.p2)])
+        assert (out / "summary.csv").read_bytes() == \
+            ("g_nl,delta_a,max_p2,min_p2,dominant_freq\n" + reference_rows(summary)).encode()
+        assert file_digests(out, skip_manifests=True) == \
+            file_digests(tmp_path / "rerun", skip_manifests=True)
+
+    @pytest.mark.parametrize("mode", ["restricted", "full"])
+    def test_check_hamiltonian_dump(self, tmp_path, mode):
+        text = FIG3_SHORT + f"oracle_mode = {mode}\n"
+        cfg_path = tmp_path / "check.cfg"
+        cfg_path.write_text(text)
+        for name in ("first", "rerun"):
+            argv = ["check", str(cfg_path), "--out", str(tmp_path / name), "--dump-hamiltonian"]
+            assert main(argv) == EXIT_OK
+        cfg = parse_config(text)
+        ham = build_hamiltonian(cfg.to_model_params(), *default_cutoffs(cfg.index(), mode),
+                                mode=mode, index=cfg.index())
+        assert (tmp_path / "first" / "hamiltonian.txt").read_bytes() == \
+            reference_matrix_txt(ham.matrix).encode()
+        assert file_digests(tmp_path / "first") == file_digests(tmp_path / "rerun")
