@@ -47,6 +47,7 @@ __all__ = [
     "MAX_STEPS",
     "MAX_ROWS",
     "MAX_POINTS",
+    "MAX_PHOTONS",
 ]
 
 REQUIRED_KEYS = ("g_nl", "delta_a", "delta_b", "lambda")
@@ -61,6 +62,10 @@ MAX_ROWS = 1_000_000
 # points one sweep grid may have: every point's spec is built and checked before
 # the first runs (about 5 s and 130 MB at this limit), and each writes a directory
 MAX_POINTS = 100_000
+# photon numbers m and n: the couplings take square roots of products like
+# (n+1)(m+1)(m+2), which stop converting to a float near 1e308; this bound
+# keeps them exact, far past any photon number the model is meant for
+MAX_PHOTONS = 1_000_000_000
 
 _SWEEP_KEYS = {"parameter", "values", "start", "stop", "count",
                "parameter2", "values2", "start2", "stop2", "count2"}
@@ -212,6 +217,7 @@ def _parse_text(key, text, lineno) -> str:
 
 
 _AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_PHOTONS = (lambda v: 0 <= v <= MAX_PHOTONS, f"must be >= 0 and <= {MAX_PHOTONS}")
 
 # config key -> (RunConfig field, parser, check), in manifest order; a check is
 # (predicate, error) and holds for every value of the key, swept ones too
@@ -222,8 +228,8 @@ _KEYS = {
     "delta_a": ("delta_a", _parse_float, None),
     "delta_b": ("delta_b", _parse_float, None),
     "lambda": ("lam", _parse_float, _AT_LEAST_0),
-    "m": ("m", _parse_int, _AT_LEAST_0),
-    "n": ("n", _parse_int, _AT_LEAST_0),
+    "m": ("m", _parse_int, _PHOTONS),
+    "n": ("n", _parse_int, _PHOTONS),
     "initial": ("initial", _parse_text, (INITIAL_SLOTS.__contains__,
                                          f"must be one of {', '.join(INITIAL_SLOTS)}")),
     "t_start": ("t_start", _parse_float, None),

@@ -308,7 +308,8 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
     Deterministic: identical specs give bit-identical samples.  Raises
     IntegrationDivergedError (carrying the last finite sample time) if the
     state leaves the finite range, which only happens when the step is far
-    too large for the coupling scale.
+    too large for the coupling scale, or if a detuning phase over one step
+    overflows.
     """
     coeffs = spec.coefficients()
     ga, gb, _, da, db = coeffs
@@ -318,6 +319,10 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
     n_steps = grid.n_steps()
     stride = grid.sample_every
     rates = _phase_rates(ga, gb, da, db)
+    if not math.isfinite(max(abs(da), abs(db)) * h):
+        # the step's detuning phases overflow; no finite state follows
+        raise IntegrationDivergedError(
+            f"detuning phase over one step of {h!r} is not finite", t_last=float(t0))
 
     with np.errstate(over="ignore", invalid="ignore"):
         # R(h)^T - I, with cos - 1 written as -2 sin^2(theta/2) to keep its digits

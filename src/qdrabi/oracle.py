@@ -3,7 +3,10 @@
 Builds the transformed Hamiltonian on |s, m, n> product states (dot level,
 fundamental photons, second-harmonic photons), propagates exactly by
 spectral decomposition, and rotates into the interaction picture so the
-result is directly comparable to the six-amplitude integrator.
+result is directly comparable to the six-amplitude integrator.  Every
+matrix element is real, so the Hamiltonian is real symmetric and the
+eigensolver is the real one; only the six manifold components of the
+evolved state are ever formed.
 
 Both modes assemble the matrix from the same ladder-operator elements on an
 explicit list of basis states.  Restricted mode works on the six manifold
@@ -121,7 +124,7 @@ def check_cutoffs(n_a: int, n_b: int, mode: str, index: ManifoldIndex) -> None:
 
 @dataclass(frozen=True)
 class FockOperatorMatrix:
-    """Dense Hermitian Hamiltonian and the basis states that index its rows."""
+    """Dense real symmetric Hamiltonian and the basis states that index its rows."""
 
     matrix: np.ndarray
     states: list[BasisState]
@@ -146,7 +149,8 @@ def build_hamiltonian(
     The cutoffs must pass check_cutoffs.  Full mode works on
     basis_states(n_a, n_b), restricted mode on the six manifold_states(index)
     in amplitude order, so its matrix is the 6x6 manifold block of the full
-    one.  The matrix is exactly conjugate-symmetric by construction.
+    one.  Free energies, dressed couplings and ladder square roots are all
+    real, so the matrix is float64 and exactly symmetric by construction.
     """
     if mode not in ("restricted", "full"):
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
@@ -157,7 +161,7 @@ def build_hamiltonian(
         states = list(manifold_states(index))
 
     position = {(st.s, st.m, st.n): i for i, st in enumerate(states)}
-    ham = np.diag(_free_energies(params, states).astype(complex))
+    ham = np.diag(_free_energies(params, states))
     ga, gb, g_nl = params.dressed_g_a(), params.dressed_g_b(), params.g_nl
     for (s, m, n), i in position.items():
         # partners with more photons, one per ladder term:
@@ -176,14 +180,16 @@ def build_hamiltonian(
     return FockOperatorMatrix(matrix=ham, states=states)
 
 
-def propagate(ham, psi0, times) -> np.ndarray:
+def propagate(ham, psi0, times, components=None) -> np.ndarray:
     """Evolve psi0 under a time-independent Hermitian matrix, one row per time.
 
     Spectral decomposition is done once; each time is a phase rotation in the
     eigenbasis, so the evolution is unitary to eigensolver accuracy and the
-    norm of psi0 is preserved.
+    norm of psi0 is preserved.  A real symmetric matrix takes the real
+    eigensolver.  Only the basis components listed in `components` are
+    formed, in that order; None forms all of them.
     """
-    matrix = np.asarray(ham, dtype=complex)
+    matrix = np.asarray(ham)
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
     try:
@@ -196,7 +202,8 @@ def propagate(ham, psi0, times) -> np.ndarray:
         ) from exc
     coeffs = vectors.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, energies))
-    return (phases * coeffs) @ vectors.T
+    rows = vectors if components is None else vectors[components]
+    return (phases * coeffs) @ rows.T
 
 
 def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndarray:
@@ -229,7 +236,12 @@ def run_oracle(
     mode: str = "restricted",
     cutoffs: tuple[int, int] | None = None,
 ) -> OracleResult:
-    """Propagate the truncated-basis Hamiltonian and project onto the manifold."""
+    """Propagate the truncated-basis Hamiltonian and project onto the manifold.
+
+    Only the six manifold components are propagated.  The norm is that of
+    the initial state, which the evolution keeps, and the leakage is the
+    norm minus the probability inside the manifold.
+    """
     if y0 is None:
         y0 = ManifoldAmplitudes.unit("d")
     n_a, n_b = cutoffs if cutoffs is not None else default_cutoffs(index, mode)
@@ -242,17 +254,19 @@ def run_oracle(
     for k, slot in enumerate(slots):
         psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
 
-    psi_t = propagate(ham.matrix, psi0, times)
-    inside = (np.abs(psi_t[:, slots]) ** 2).sum(axis=1)
-    total = (np.abs(psi_t) ** 2).sum(axis=1)
-    amps_c = to_interaction_picture(psi_t[:, slots], times, params, six)
+    psi_t = propagate(ham.matrix, psi0, times, slots)
+    # unitary evolution keeps the norm of psi0; the eigenvector matrix is
+    # unitary, so it equals the sum of |eigen-coefficient|^2 as well
+    norm = np.full(len(psi_t), float(np.vdot(psi0, psi0).real))
+    inside = (np.abs(psi_t) ** 2).sum(axis=1)
+    amps_c = to_interaction_picture(psi_t, times, params, six)
 
     amplitudes = np.empty((len(amps_c), 12))
     amplitudes[:, 0::2] = amps_c.real
     amplitudes[:, 1::2] = amps_c.imag
     p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
     return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes, p2=p2,
-                        norm=total, leakage=total - inside, hamiltonian=ham)
+                        norm=norm, leakage=norm - inside, hamiltonian=ham)
 
 
 def compare(oracle: OracleResult, ode: TimeSeries) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +60,10 @@ def _param_entries(config: RunConfig, step: float) -> list[tuple[str, object]]:
     return entries
 
 
+def _phase_entries(phases: dict[str, float]) -> list[tuple[str, object]]:
+    return [(f"phase.{name}_s", seconds) for name, seconds in phases.items()]
+
+
 def _grid_entries(grid) -> list[tuple[str, object]]:
     return [("n_steps", grid.n_steps()), ("sample_every", grid.sample_every),
             ("t_final", grid.t_final())]
@@ -77,7 +82,11 @@ def _cutoffs(config: RunConfig) -> tuple[int, int]:
 
 def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
                    dump_hamiltonian: bool):
-    """Run the Fock-basis validator against an integrated series; write its report."""
+    """Run the Fock-basis validator against an integrated series; write its report.
+
+    The returned error is None when the oracle agrees; a deviation or leakage
+    that is not finite is a mismatch in either mode.
+    """
     cutoffs = _cutoffs(config)
     mode = config.oracle_mode
     result = run_oracle(
@@ -85,15 +94,24 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
         y0=y0, mode=mode, cutoffs=cutoffs,
     )
     deviation = compare(result, series)
-    mismatch = mode == "restricted" and deviation > ORACLE_TOLERANCE
+    leakage = result.max_leakage()
+    if not math.isfinite(deviation):
+        error = f"oracle deviation {fmt(deviation)} is not finite"
+    elif not math.isfinite(leakage):
+        error = f"oracle leakage {fmt(leakage)} is not finite"
+    elif mode == "restricted" and deviation > ORACLE_TOLERANCE:
+        error = (f"oracle deviation {fmt(deviation)} exceeds the tolerance "
+                 f"{fmt(ORACLE_TOLERANCE)}")
+    else:
+        error = None
     lines = [
         f"mode = {mode}",
         f"cutoff_a = {cutoffs[0]}",
         f"cutoff_b = {cutoffs[1]}",
         f"tolerance = {fmt(ORACLE_TOLERANCE)}",
         f"max_deviation = {fmt(deviation)}",
-        f"max_leakage = {fmt(result.max_leakage())}",
-        f"status = {'mismatch' if mismatch else 'ok'}",
+        f"max_leakage = {fmt(leakage)}",
+        f"status = {'ok' if error is None else 'mismatch'}",
     ]
     files = ["deviation.txt"]
     with open(out_dir / "deviation.txt", "w", encoding="utf-8", newline="\n") as fh:
@@ -101,7 +119,7 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
     if dump_hamiltonian:
         write_matrix_txt(out_dir / "hamiltonian.txt", result.hamiltonian.matrix)
         files.append("hamiltonian.txt")
-    return deviation, result.max_leakage(), mismatch, files
+    return deviation, leakage, error, files
 
 
 def run_single(
@@ -128,35 +146,42 @@ def run_single(
         ("verb", verb),
     ]
     files: list[str] = []
+    phases = {"integrate": 0.0, "oracle": 0.0, "write": 0.0}
 
     try:
         series = integrate(spec)
     except IntegrationDivergedError as exc:
+        phases["integrate"] = time.perf_counter() - started
         entries += [("status", STATUS_DIVERGED), ("error", str(exc)),
                     ("t_last", exc.t_last), ("duration_s", time.perf_counter() - started)]
-        entries += _grid_entries(spec.grid) + _param_entries(config, h)
+        entries += _phase_entries(phases) + _grid_entries(spec.grid) + _param_entries(config, h)
         write_manifest(out_dir / "manifest.txt", entries, files)
         return RunOutcome(status=STATUS_DIVERGED, out_dir=str(out_dir),
                           files=files + ["manifest.txt"], error=str(exc))
 
+    phases["integrate"] = time.perf_counter() - started
+
     if write_trajectory:
+        mark = time.perf_counter()
         write_timeseries_csv(out_dir / "trajectory.csv", series)
         write_p2_csv(out_dir / "p2.csv", series)
         with open(out_dir / "resolved_config.txt", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(write_config(config))
         files += ["trajectory.csv", "p2.csv", "resolved_config.txt"]
+        phases["write"] = time.perf_counter() - mark
 
     outcome = RunOutcome(status=STATUS_OK, out_dir=str(out_dir))
     if with_oracle:
-        deviation, leakage, mismatch, extra = _oracle_report(
+        mark = time.perf_counter()
+        deviation, leakage, error, extra = _oracle_report(
             config, series, spec.y0, out_dir, dump_hamiltonian)
+        phases["oracle"] = time.perf_counter() - mark
         outcome.deviation = deviation
         outcome.max_leakage = leakage
         files += extra
-        if mismatch:
+        if error is not None:
             outcome.status = STATUS_MISMATCH
-            outcome.error = (f"oracle deviation {fmt(deviation)} exceeds the tolerance "
-                             f"{fmt(ORACLE_TOLERANCE)}")
+            outcome.error = error
 
     outcome.summary = {
         "max_p2": float(series.p2.max()),
@@ -165,12 +190,14 @@ def run_single(
         "max_norm_drift": series.max_norm_drift(),
     }
     entries.append(("status", outcome.status))
+    if outcome.error is not None:
+        entries.append(("error", outcome.error))
     entries.append(("duration_s", time.perf_counter() - started))
     entries.append(("max_norm_drift", outcome.summary["max_norm_drift"]))
     if outcome.deviation is not None:
         entries.append(("oracle_deviation", outcome.deviation))
         entries.append(("oracle_leakage", outcome.max_leakage))
-    entries += _grid_entries(spec.grid) + _param_entries(config, h)
+    entries += _phase_entries(phases) + _grid_entries(spec.grid) + _param_entries(config, h)
     write_manifest(out_dir / "manifest.txt", entries, files)
 
     outcome.files = files + ["manifest.txt"]

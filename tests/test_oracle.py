@@ -17,7 +17,13 @@ from qdrabi import (
     run_oracle,
     to_interaction_picture,
 )
-from qdrabi.oracle import basis_index, basis_states, default_cutoffs, manifold_states
+from qdrabi.oracle import (
+    OracleResult,
+    basis_index,
+    basis_states,
+    default_cutoffs,
+    manifold_states,
+)
 
 
 def params(g_a=0.0, g_b=0.0, g_nl=0.0, delta_a=1.0, delta_b=0.1, lam=0.0):
@@ -215,3 +221,112 @@ class TestInitialStates:
         series = integrate(spec)
         result = run_oracle(cfg.to_model_params(), series.t, y0=y0)
         assert compare(result, series) < 1e-8
+
+
+def reference_propagate(ham, psi0, times) -> np.ndarray:
+    """Every component on the complex Hermitian path: the reference for propagate."""
+    matrix = np.asarray(ham, dtype=complex)
+    psi0 = np.asarray(psi0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    try:
+        energies, vectors = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        scale = float(np.abs(matrix).max()) if matrix.size else 0.0
+        raise RuntimeError(
+            f"eigendecomposition failed for a {matrix.shape[0]}x{matrix.shape[1]} "
+            f"matrix with max |entry| {scale:.3e}: {exc}"
+        ) from exc
+    coeffs = vectors.conj().T @ psi0
+    phases = np.exp(-1j * np.outer(times, energies))
+    return (phases * coeffs) @ vectors.T
+
+
+def reference_run_oracle(
+    params: ModelParams,
+    times,
+    index: ManifoldIndex = ManifoldIndex(),
+    y0: ManifoldAmplitudes | None = None,
+    mode: str = "restricted",
+    cutoffs: tuple[int, int] | None = None,
+) -> OracleResult:
+    """The full-state oracle: the reference for run_oracle's six-component path."""
+    if y0 is None:
+        y0 = ManifoldAmplitudes.unit("d")
+    n_a, n_b = cutoffs if cutoffs is not None else default_cutoffs(index, mode)
+    ham = build_hamiltonian(params, n_a, n_b, mode=mode, index=index)
+
+    six = manifold_states(index)
+    slots = [ham.states.index(st) for st in six]
+    psi0 = np.zeros(len(ham.states), dtype=complex)
+    y0_flat = y0.as_tuple()
+    for k, slot in enumerate(slots):
+        psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
+
+    psi_t = reference_propagate(ham.matrix, psi0, times)
+    inside = (np.abs(psi_t[:, slots]) ** 2).sum(axis=1)
+    total = (np.abs(psi_t) ** 2).sum(axis=1)
+    amps_c = to_interaction_picture(psi_t[:, slots], times, params, six)
+
+    amplitudes = np.empty((len(amps_c), 12))
+    amplitudes[:, 0::2] = amps_c.real
+    amplitudes[:, 1::2] = amps_c.imag
+    p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
+    return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes, p2=p2,
+                        norm=total, leakage=total - inside, hamiltonian=ham)
+
+
+def _random_y0(seed):
+    vec = np.random.default_rng(seed).normal(size=12)
+    return ManifoldAmplitudes.from_array(vec / np.linalg.norm(vec))
+
+
+# name -> (preset, keyword arguments of run_oracle, window start)
+EQUIVALENCE_CASES = {
+    "fig3": ("fig3", {}, 0.0),
+    "fig4": ("fig4", {}, 0.0),
+    "fig5": ("fig5", {}, 0.0),
+    "fig3-cutoffs-10-10": ("fig3", {"cutoffs": (10, 10)}, 0.0),
+    "fig4-index-1-1": ("fig4", {"index": ManifoldIndex(1, 1)}, 0.0),
+    "fig5-random-y0": ("fig5", {"y0": _random_y0(17)}, 0.0),
+    "fig3-t_start-3.7": ("fig3", {}, 3.7),
+}
+
+
+class TestSixComponentOracle:
+    @pytest.mark.parametrize("mode", ["restricted", "full"])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_matches_full_state_reference(self, case, mode):
+        preset, kwargs, t_start = EQUIVALENCE_CASES[case]
+        p = preset_config(preset).to_model_params()
+        times = t_start + np.linspace(0.0, 25.0, 501)
+        got = run_oracle(p, times, mode=mode, **kwargs)
+        want = reference_run_oracle(p, times, mode=mode, **kwargs)
+        assert np.array_equal(got.t, want.t)
+        assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+        assert np.abs(got.p2 - want.p2).max() <= 1e-12
+        assert np.abs(got.leakage - want.leakage).max() <= 1e-13
+        assert np.abs(got.norm - want.norm).max() <= 1e-13
+        assert np.array_equal(got.hamiltonian.matrix, want.hamiltonian.matrix)
+        if mode == "full":
+            assert want.max_leakage() > 1e-3  # the case exercises leakage
+
+    @pytest.mark.parametrize("kind", ["real-symmetric", "complex-hermitian"])
+    def test_components_are_columns_of_the_full_state(self, kind):
+        rng = np.random.default_rng(23)
+        mat = rng.normal(size=(30, 30))
+        if kind == "complex-hermitian":
+            mat = mat + 1j * rng.normal(size=(30, 30))
+        ham = mat + mat.conj().T
+        psi0 = rng.normal(size=30) + 1j * rng.normal(size=30)
+        times = np.linspace(0, 8, 33)
+        comps = [29, 3, 17, 0, 4, 11]
+        # equal up to the summation order of two differently shaped products
+        np.testing.assert_allclose(propagate(ham, psi0, times, comps),
+                                   propagate(ham, psi0, times)[:, comps], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("mode", ["restricted", "full"])
+    def test_hamiltonian_is_real_symmetric(self, mode):
+        p = params(g_a=1.2, g_b=0.5, g_nl=0.8, lam=0.3)
+        ham = build_hamiltonian(p, 6, 5, mode=mode).matrix
+        assert ham.dtype == np.float64
+        assert np.array_equal(ham, ham.T)

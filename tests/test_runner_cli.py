@@ -2,10 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdrabi
 from qdrabi import (
@@ -18,7 +20,7 @@ from qdrabi import (
     verify_manifest,
 )
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
-from qdrabi.config import MAX_ROWS, MAX_STEPS
+from qdrabi.config import FIELD_BY_KEY, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS
 from qdrabi.serialize import parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
@@ -84,6 +86,28 @@ class TestRunSingle:
         entries = parse_manifest(tmp_path / "div" / "manifest.txt")
         assert (entries["n_steps"], entries["sample_every"]) == ("1000", "1")
         assert entries["t_final"] == "100000"
+
+    def test_manifest_records_phase_timings(self, tmp_path):
+        run_cfg = parse_config(FIG3_TEXT + FAST_CHECK + "oracle = true\n")
+        sweep_cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1\n")
+        timing = {"duration_s", "phase.integrate_s", "phase.oracle_s", "phase.write_s"}
+        for rerun in ("one", "two"):
+            run_single(run_cfg, tmp_path / rerun / "run")
+            oracle_check(run_cfg, tmp_path / rerun / "check")
+            run_sweep(sweep_cfg, tmp_path / rerun / "sweep")
+        manifests = {}
+        for rerun in ("one", "two"):
+            for rel in ("run", "check", "sweep/point_000"):
+                entries = parse_manifest(tmp_path / rerun / rel / "manifest.txt")
+                for key in timing:
+                    assert float(entries[key]) >= 0.0
+                manifests[rerun, rel] = {k: v for k, v in entries.items() if k not in timing}
+        for rel in ("run", "check", "sweep/point_000"):
+            assert manifests["one", rel] == manifests["two", rel]
+        entries = parse_manifest(tmp_path / "one" / "run" / "manifest.txt")
+        assert float(entries["phase.oracle_s"]) > 0.0 and float(entries["phase.write_s"]) > 0.0
+        entries = parse_manifest(tmp_path / "one" / "check" / "manifest.txt")
+        assert entries["phase.write_s"] == "0"  # check writes no trajectory files
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST)
@@ -153,6 +177,24 @@ class TestOracleCheck:
         dump = (tmp_path / "out" / "hamiltonian.txt").read_text().splitlines()
         assert len(dump) == 6  # restricted mode: the manifold block, a..f
         verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    @pytest.mark.parametrize("mode", ["restricted", "full"])
+    def test_nonfinite_oracle_result_exits_3(self, tmp_path, capsys, mode):
+        # the detuning is finite, but the oracle's phases overflow to nan
+        text = (FIG3_TEXT.replace("delta_a = 1", "delta_a = 6e307") + "t_end = 1\n"
+                f"cutoff_a = 16\ncutoff_b = 16\noracle_mode = {mode}\n")
+        cfg_path = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["check", cfg_path, "--out", str(out)])
+        assert code == EXIT_ORACLE
+        assert "qdrabi: oracle deviation nan is not finite" in capsys.readouterr().err
+        report = parse_manifest(out / "deviation.txt")
+        assert (report["max_deviation"], report["status"]) == ("nan", "mismatch")
+        verify_manifest(out / "manifest.txt")
+        entries = parse_manifest(out / "manifest.txt")
+        assert entries["status"] == "oracle-mismatch"
+        assert entries["error"] == "oracle deviation nan is not finite"
 
     def test_restricted_cutoffs_only_validated(self, tmp_path):
         # restricted cost does not grow with the cutoffs
@@ -354,6 +396,23 @@ class TestCli:
         assert "t_last" in entries
         assert not (tmp_path / "out" / "deviation.txt").exists()
 
+    @pytest.mark.parametrize("verb, text", [
+        ("run", FIG3_TEXT.replace("delta_a = 1", "delta_a = 1e10")
+         + "t_end = 0.5\nstep = 1e300\n"),
+        ("sweep", FIG3_TEXT + "t_end = 0.5\n[sweep]\nparameter = step\nvalues = 1e308\n"
+         "parameter2 = delta_b\nvalues2 = 458810260424\n"),
+    ], ids=["run", "sweep"])
+    def test_overflowing_step_phase_exits_2(self, tmp_path, capsys, verb, text):
+        # delta * step overflows to inf: a numerical failure, not a traceback
+        cfg_path = write(tmp_path / "run.cfg", text)
+        assert main([verb, cfg_path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        point = "." if verb == "run" else "point_000"
+        entries = parse_manifest(tmp_path / "out" / point / "manifest.txt")
+        assert entries["status"] == "diverged"
+        assert entries["error"].startswith("detuning phase over one step of ")
+        assert entries["t_last"] == "0"
+        capsys.readouterr()
+
     @pytest.mark.parametrize("text", [
         FIG3_TEXT.replace("delta_a = 1", "delta_a = inf"),
         FIG3_TEXT + "t_end = inf\n",
@@ -409,8 +468,9 @@ class TestCli:
         assert "keeps 2500001 samples" in err and f"limit of {MAX_ROWS} rows" in err
         assert not out.exists()  # rejected before any work started
 
-    @pytest.mark.parametrize("text", ["cutoff_a = -3\n", "cutoff_b = -1\n"],
-                             ids=["cutoff_a", "cutoff_b"])
+    @pytest.mark.parametrize("text", ["cutoff_a = -3\n", "cutoff_b = -1\n",
+                                      "m = 1" + "0" * 200 + "\n"],
+                             ids=["cutoff_a", "cutoff_b", "m-huge"])
     def test_run_value_out_of_range_exits_1(self, tmp_path, capsys, text):
         # checked by the key table even when no oracle runs to use the value
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST + text)
@@ -427,7 +487,9 @@ class TestCli:
         "parameter = step\nvalues = -0.01\n",
         "parameter = lambda\nvalues = -1\n",
         "parameter = lambda\nstart = -1\nstop = 1\ncount = 3\n",
-    ], ids=["m=-1", "n=-2", "step=0", "step=-0.01", "lambda=-1", "lambda-range"])
+        "parameter = m\nstart = 1.3407807929942597e+154\nstop = 0\ncount = 1\n",
+    ], ids=["m=-1", "n=-2", "step=0", "step=-0.01", "lambda=-1", "lambda-range",
+            "m-huge-range"])
     def test_swept_value_out_of_range_exits_1(self, tmp_path, capsys, axis):
         # a swept value obeys the same rule as the [run] key it replaces
         cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + FAST + "[sweep]\n" + axis)
@@ -477,3 +539,68 @@ class TestCli:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
         freqs = {float(r.split(",")[0]): float(r.split(",")[3]) for r in rows}
         assert freqs[1.0] / freqs[0.0] == pytest.approx(math.exp(-0.5), abs=1e-3)
+
+
+# config values of every kind: in range, out of range, not a number, huge.
+# In-range magnitudes stay >= 1e-3 so a drawn step keeps a run short; a
+# smaller step comes only as 1e-308, which the step limit rejects.
+_IN_RANGE = st.one_of(
+    st.floats(0, 3).filter(lambda x: x == 0 or x >= 1e-3).map(repr),
+    st.integers(0, 12).map(str),
+)
+_VALUE = st.one_of(
+    _IN_RANGE,
+    _IN_RANGE,
+    st.floats(-3, 3).filter(lambda x: x == 0 or abs(x) >= 1e-3).map(repr),
+    st.integers(-3, 12).map(str),
+    st.floats(-1e308, 1e308).filter(lambda x: abs(x) >= 1e6).map(repr),
+    st.integers(-10 ** 308, 10 ** 308).map(str),
+    st.sampled_from(["1e308", "-1e308", "1e-308", "abc", "", "1, 2", "true", "full",
+                     "restricted", "e", "0.1:1, 0.05:2", "1:-1"]),
+)
+_KEY = st.sampled_from([*FIELD_BY_KEY, "omega_a", "omega_ex", "phonon_modes", "bogus"])
+
+
+@st.composite
+def cli_config(draw):
+    """(run text, [sweep] block) of a whole config file."""
+    values = {"g_nl": "2", "delta_a": "1", "delta_b": "0.1", "lambda": "0.01"}
+    for key in list(values):
+        if draw(st.sampled_from([False] * 9 + [True])):
+            del values[key]
+    values.update(draw(st.dictionaries(_KEY, _VALUE, max_size=3)))
+    lines = [f"{k} = {v}" for k, v in values.items()]
+    if lines and draw(st.sampled_from([False] * 3 + [True])):
+        lines.append(draw(st.sampled_from(lines)))  # a duplicate line
+    lines.append("t_end = 0.5")
+    sweep = ["[sweep]"]
+    for suffix in ("", "2")[:draw(st.integers(1, 2))]:
+        sweep.append(f"parameter{suffix} = "
+                     + draw(st.sampled_from(SWEEPABLE_KEYS + ("t_end",))))
+        if draw(st.booleans()):
+            sweep.append(f"values{suffix} = "
+                         + ", ".join(draw(st.lists(_VALUE, min_size=1, max_size=2))))
+        else:
+            sweep += [f"start{suffix} = {draw(_VALUE)}", f"stop{suffix} = {draw(_VALUE)}",
+                      f"count{suffix} = {draw(st.integers(0, 2))}"]
+    return "\n".join(lines) + "\n", "\n".join(sweep) + "\n"
+
+
+class TestCliProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(cli_config())
+    def test_no_traceback(self, texts):
+        # any exception escaping main fails the test: every input ends in a
+        # result, a config error or a numerical-failure status
+        run_text, sweep_block = texts
+        cases = [
+            ("run", run_text),
+            ("check", run_text + "oracle_mode = restricted\n"),
+            ("check", run_text + "oracle_mode = full\n"),
+            ("sweep", run_text + sweep_block),
+        ]
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            for k, (verb, text) in enumerate(cases):
+                cfg_path = write(Path(tmp) / f"{k}.cfg", text)
+                code = main([verb, cfg_path, "--out", str(Path(tmp) / f"out{k}")])
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_ORACLE)
