@@ -254,12 +254,15 @@ def run_oracle(
     for k, slot in enumerate(slots):
         psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
 
-    psi_t = propagate(ham.matrix, psi0, times, slots)
-    # unitary evolution keeps the norm of psi0; the eigenvector matrix is
-    # unitary, so it equals the sum of |eigen-coefficient|^2 as well
-    norm = np.full(len(psi_t), float(np.vdot(psi0, psi0).real))
-    inside = (np.abs(psi_t) ** 2).sum(axis=1)
-    amps_c = to_interaction_picture(psi_t, times, params, six)
+    # phases that overflow give nan amplitudes, which the caller reports as a
+    # non-finite result; numpy's warnings about them would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_t = propagate(ham.matrix, psi0, times, slots)
+        # unitary evolution keeps the norm of psi0; the eigenvector matrix is
+        # unitary, so it equals the sum of |eigen-coefficient|^2 as well
+        norm = np.full(len(psi_t), float(np.vdot(psi0, psi0).real))
+        inside = (np.abs(psi_t) ** 2).sum(axis=1)
+        amps_c = to_interaction_picture(psi_t, times, params, six)
 
     amplitudes = np.empty((len(amps_c), 12))
     amplitudes[:, 0::2] = amps_c.real

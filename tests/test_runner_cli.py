@@ -185,8 +185,7 @@ class TestOracleCheck:
                 f"cutoff_a = 16\ncutoff_b = 16\noracle_mode = {mode}\n")
         cfg_path = write(tmp_path / "run.cfg", text)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = main(["check", cfg_path, "--out", str(out)])
+        code = main(["check", cfg_path, "--out", str(out)])
         assert code == EXIT_ORACLE
         assert "qdrabi: oracle deviation nan is not finite" in capsys.readouterr().err
         report = parse_manifest(out / "deviation.txt")
@@ -521,6 +520,21 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": src}
         code = "import qdrabi.cli, sys; assert 'scipy' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.parametrize("mode", ["restricted", "full"])
+    def test_overflowing_oracle_prints_no_numpy_warning(self, tmp_path, mode):
+        # the oracle's phases overflow to nan; the status report is the only output
+        text = (FIG3_TEXT.replace("delta_a = 1", "delta_a = 6e307") + "t_end = 1\n"
+                f"oracle_mode = {mode}\n")
+        cfg_path = write(tmp_path / "run.cfg", text)
+        src = str(Path(qdrabi.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "qdrabi", "check", cfg_path,
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_ORACLE
+        assert "qdrabi: oracle deviation nan is not finite" in proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_oracle_mismatch_exits_3(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 10\nsamples = 100\n")

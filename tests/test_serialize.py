@@ -8,9 +8,10 @@ from qdrabi import integrate, parse_config, preset_config
 from qdrabi.cli import EXIT_OK, main
 from qdrabi.oracle import build_hamiltonian, default_cutoffs
 from qdrabi.serialize import (
-    _BLOCK_ROWS,
+    _BLOCK_VALUES,
     CSV_HEADER,
     _write_rows,
+    format_block,
     parse_manifest,
     sha256_file,
     verify_manifest,
@@ -23,7 +24,7 @@ from qdrabi.signal import dominant_angular_frequency
 
 
 def reference_rows(rows):
-    """The per-value writer the block formatter replaced: one `format` call per value."""
+    """The per-value writer the vectorised formatter replaced: one `format` call per value."""
     return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
 
 
@@ -43,11 +44,29 @@ def reference_matrix_txt(matrix):
     )
 
 
+def csv_seps(width):
+    return b"," * (width - 1) + b"\n"
+
+
 def block_text(rows):
-    fh = io.StringIO()
-    width = rows.shape[1]
-    _write_rows(fh, [rows], "%.17g," * (width - 1) + "%.17g\n")
-    return fh.getvalue()
+    fh = io.BytesIO()
+    _write_rows(fh, [rows], csv_seps(rows.shape[1]))
+    return fh.getvalue().decode()
+
+
+def block_rows(width):
+    """Rows the writer formats per block at this width."""
+    return max(1, _BLOCK_VALUES // width)
+
+
+def assert_same_text(got, want):
+    """Equal texts, or a failure naming the first differing line (not a diff of megabytes)."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        line = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+                    min(len(got_lines), len(want_lines)))
+        pytest.fail(f"{len(got_lines)} vs {len(want_lines)} lines; first difference at line "
+                    f"{line}: {got_lines[line:line + 1]} != {want_lines[line:line + 1]}")
 
 
 SPECIAL_VALUES = [
@@ -55,7 +74,35 @@ SPECIAL_VALUES = [
     1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, float("inf"), float("-inf"),
     float("nan"), 0.1, 1 / 3, -2.5, 123456789012345678.0,
 ]
-ROW_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+# row counts around 4096, a block edge at width 1
+ROW_COUNTS = [0, 1, 4095, 4096, 4097]
+
+
+def decade_edges(ulps=64):
+    """Powers of ten from 1e-5 to 1e18 and the `ulps` doubles on each side, both signs."""
+    near = []
+    for e in range(-5, 19):
+        power = float(f"1e{e}")
+        down, up = np.spacing(np.nextafter(power, 0.0)), np.spacing(power)
+        near += [power - down * np.arange(1, ulps + 1), power + up * np.arange(ulps)]
+    near = np.concatenate(near)
+    return np.concatenate([near, -near])
+
+
+EDGE_VALUES = [
+    # %g's fixed-notation range is [1e-4, 1e17) after rounding to 17 digits
+    1e-4, np.nextafter(1e-4, 0.0), -np.nextafter(1e-4, 0.0), 1e17, np.nextafter(1e17, 0.0),
+    -np.nextafter(1e17, 0.0), 99999999999999984.0, 1e17 + 16,
+    # 17-digit literals that parse to the next decade, and the doubles just below one
+    9.9999999999999999e-5, 0.99999999999999999, 9.9999999999999999e15, 0.099999999999999999,
+    np.nextafter(1.0, 0.0), np.nextafter(1e-3, 0.0), np.nextafter(1e16, 0.0),
+    # exact ties at the 17th digit round half to even
+    1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25, -(1e15 + 0.25),
+    # trailing zeros and the point are trimmed
+    0.5, 25.0, 1e16, 100.0, 0.25, 1234.5, 1e-4 * 3, 12345678901234567.0,
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+    5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-310,
+]
 
 
 @pytest.fixture(scope="module")
@@ -102,22 +149,75 @@ class TestBlockFormatting:
     @settings(max_examples=25, deadline=None)
     @given(values=st.lists(st.floats(), min_size=1, max_size=64),
            width=st.sampled_from([1, 2, 15]), rows=st.sampled_from(ROW_COUNTS))
-    def test_percent_form_equals_format_per_value(self, values, width, rows):
+    def test_kernel_equals_format_per_value(self, values, width, rows):
         data = np.resize(np.array(values), (rows, width))
-        assert block_text(data) == reference_rows(data)
+        assert_same_text(block_text(data), reference_rows(data))
 
     @pytest.mark.parametrize("width", [1, 2, 15])
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_special_values_at_block_edges(self, width, rows):
         data = np.resize(np.array(SPECIAL_VALUES), (rows, width))
-        assert block_text(data) == reference_rows(data)
+        assert_same_text(block_text(data), reference_rows(data))
+
+    @pytest.mark.parametrize("width", [1, 2, 15, 1156])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_values_at_each_widths_block_edge(self, width, offset):
+        rows = block_rows(width) + offset
+        data = np.resize(np.array(SPECIAL_VALUES + EDGE_VALUES), (rows, width))
+        assert_same_text(block_text(data), reference_rows(data))
 
     def test_columns_are_stacked_per_block(self):
         rng = np.random.default_rng(7)
-        t, mat = rng.normal(size=_BLOCK_ROWS + 3), rng.normal(size=(_BLOCK_ROWS + 3, 4))
-        fh = io.StringIO()
-        _write_rows(fh, [t, mat], "%.17g," * 4 + "%.17g\n")
-        assert fh.getvalue() == reference_rows(np.column_stack([t, mat]))
+        n = block_rows(5) + 3
+        t, mat = rng.normal(size=n), rng.normal(size=(n, 4))
+        fh = io.BytesIO()
+        _write_rows(fh, [t, mat], csv_seps(5))
+        assert_same_text(fh.getvalue().decode(), reference_rows(np.column_stack([t, mat])))
+
+
+def kernel_text(values, width=1):
+    data = np.asarray(values, dtype=float).reshape(-1, width)
+    return format_block(data, csv_seps(width)).decode()
+
+
+class TestKernelExactness:
+    """`format_block` against one `format(x, ".17g")` call per value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=30))
+    def test_any_double(self, values):
+        assert kernel_text(values) == reference_rows(np.array(values)[:, None])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(1e-4, 1e17, exclude_max=True), min_size=1, max_size=30),
+           signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=30, max_size=30))
+    def test_fixed_notation_range(self, values, signs):
+        data = np.array(values) * signs[:len(values)]
+        assert kernel_text(data) == reference_rows(data[:, None])
+
+    def test_a_million_seeded_values(self):
+        rng = np.random.default_rng(20190723)
+        n = 350_000
+        sign = rng.choice([-1.0, 1.0], n)
+        data = np.concatenate([
+            rng.uniform(-1.0, 1.0, n),
+            sign * 10.0 ** rng.uniform(-8.0, 18.0, n),
+            rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),
+        ])
+        assert_same_text(kernel_text(data, width=15), reference_rows(data.reshape(-1, 15)))
+
+    def test_decade_edges(self):
+        data = decade_edges()
+        assert_same_text(kernel_text(data), reference_rows(data[:, None]))
+
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=lambda v: repr(float(v)))
+    def test_edge_value(self, value):
+        assert kernel_text([value]) == format(value, ".17g") + "\n"
+
+    def test_separators_follow_their_columns(self):
+        data = np.array([[0.5, -0.0, float("nan"), 1e-300], [25.0, 1e16, 3.0, -1e-4]])
+        assert format_block(data, b", ;\n").decode() == \
+            "0.5,-0 nan;1e-300\n25,10000000000000000 3;-0.0001\n"
 
 
 class TestMatrixDump:
@@ -134,6 +234,15 @@ class TestMatrixDump:
         ])
         np.testing.assert_array_equal(rebuilt, mat)
         assert path.read_text() == reference_matrix_txt(mat)
+
+    def test_full_hamiltonian_at_cutoffs_16(self, tmp_path):
+        # dim 578, mostly zeros, written over many blocks
+        cfg = preset_config("fig3")
+        ham = build_hamiltonian(cfg.to_model_params(), 16, 16, mode="full", index=cfg.index())
+        assert ham.matrix.shape == (578, 578)
+        path = tmp_path / "hamiltonian.txt"
+        write_matrix_txt(path, ham.matrix)
+        assert_same_text(path.read_text(), reference_matrix_txt(ham.matrix))
 
 
 class TestManifest:
