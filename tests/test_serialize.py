@@ -24,7 +24,7 @@ from qdrabi.signal import dominant_angular_frequency
 
 
 def reference_rows(rows):
-    """The per-value writer the vectorised formatter replaced: one `format` call per value."""
+    """The reference text: one `format(x, ".17g")` call per value."""
     return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
 
 
