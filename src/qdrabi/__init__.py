@@ -60,6 +60,7 @@ from .config import (
     SweepAxis,
     SweepConfig,
     parse_config,
+    override,
     parse_config_file,
     preset_config,
     write_config,
@@ -78,7 +79,7 @@ __all__ = [
     "propagate", "run_oracle", "to_interaction_picture",
     "dominant_angular_frequency", "local_maxima",
     "RunConfig", "SweepAxis", "SweepConfig", "parse_config", "parse_config_file",
-    "preset_config", "write_config",
+    "override", "preset_config", "write_config",
     "ORACLE_TOLERANCE", "RunOutcome", "oracle_check", "run_single", "run_sweep",
     "verify_manifest",
 ]

@@ -8,13 +8,13 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .config import (
     PRESET_NAMES,
     RunConfig,
     SweepConfig,
+    override,
     parse_config_file,
     preset_config,
 )
@@ -113,27 +113,24 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.step is not None and not (math.isfinite(args.step) and args.step > 0):
-            raise ConfigError(f"--step must be finite and > 0, got {args.step!r}")
-        if args.verb == "run":
-            outcome = run_single(_load_run_config(args.config), args.out,
-                                 step=args.step, oracle=args.oracle or None)
-        elif args.verb == "preset":
-            outcome = run_single(preset_config(args.name), args.out,
-                                 step=args.step, oracle=args.oracle or None,
-                                 verb=f"preset {args.name}")
-        elif args.verb == "sweep":
+        if args.verb == "sweep":
             config = parse_config_file(args.config)
             if not isinstance(config, SweepConfig):
                 raise ConfigError("sweep verb needs a config with a [sweep] section")
             if args.workers < 1:
                 raise ConfigError("--workers must be >= 1")
-            outcome = run_sweep(config, args.out, step=args.step,
-                                workers=args.workers, oracle=args.oracle or None)
+        elif args.verb == "preset":
+            config = preset_config(args.name)
         else:
             config = _load_run_config(args.config)
-            outcome = oracle_check(config, args.out, step=args.step,
-                                   dump_hamiltonian=args.dump_hamiltonian)
+        config = override(config, step=args.step, oracle=getattr(args, "oracle", False))
+        if args.verb == "sweep":
+            outcome = run_sweep(config, args.out, workers=args.workers)
+        elif args.verb == "check":
+            outcome = oracle_check(config, args.out, dump_hamiltonian=args.dump_hamiltonian)
+        else:
+            verb = "run" if args.verb == "run" else f"preset {args.name}"
+            outcome = run_single(config, args.out, verb=verb)
     except (ConfigError, OSError) as exc:
         print(f"qdrabi: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

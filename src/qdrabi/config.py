@@ -41,6 +41,7 @@ __all__ = [
     "SweepConfig",
     "parse_config",
     "parse_config_file",
+    "override",
     "write_config",
     "preset_config",
     "PRESET_NAMES",
@@ -111,25 +112,24 @@ class RunConfig:
             lam=self.lam, shift=self.shift,
         )
 
-    def to_dynamics_spec(self, step: float | None = None) -> DynamicsSpec:
+    def to_dynamics_spec(self) -> DynamicsSpec:
         """Build the integrator spec; the detunings enter exactly as configured.
 
         Raises ConfigError when the grid takes more than MAX_STEPS steps or
         keeps more than MAX_ROWS samples.
         """
-        h = self.step if step is None else step
-        grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=h)
+        grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=self.step)
         steps = (grid.t_end - grid.t_start) / grid.step  # may be inf, which n_steps() cannot round
         if steps > MAX_STEPS:
             raise ConfigError(
-                f"window [{self.t_start:g}, {self.t_end:g}] at step {h:g} takes "
+                f"window [{self.t_start:g}, {self.t_end:g}] at step {self.step:g} takes "
                 f"{steps:.3g} steps, more than the limit of {MAX_STEPS}"
             )
         grid = replace(grid, sample_every=max(1, int(round(grid.n_steps() / self.samples))))
         if grid.n_samples() > MAX_ROWS:
             raise ConfigError(
-                f"samples = {self.samples} at step {h:g} keeps {grid.n_samples()} samples, "
-                f"more than the limit of {MAX_ROWS} rows"
+                f"samples = {self.samples} at step {self.step:g} keeps {grid.n_samples()} "
+                f"samples, more than the limit of {MAX_ROWS} rows"
             )
         return DynamicsSpec(
             index=self.index(),
@@ -462,6 +462,27 @@ def parse_config(text: str):
 def parse_config_file(path):
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+def override(config, step: float | None = None, oracle: bool = False):
+    """A RunConfig or SweepConfig with the command line's --step and --oracle set in it.
+
+    The overridden keys read as configured, not defaulted, so every artifact
+    records the values that ran.  --step cannot replace a swept step.
+    """
+    if isinstance(config, SweepConfig):
+        if step is not None and any(axis.parameter == "step" for axis in config.axes):
+            raise ConfigError("--step cannot override the swept 'step' values")
+        return replace(config, base=override(config.base, step, oracle))
+    changes = {}
+    if step is not None:
+        if not (math.isfinite(step) and step > 0):
+            raise ConfigError(f"--step must be finite and > 0, got {step!r}")
+        changes["step"] = step
+    if oracle:
+        changes["oracle"] = True
+    return replace(config, defaulted=tuple(k for k in config.defaulted if k not in changes),
+                   **changes)
 
 
 def write_config(config) -> str:

@@ -98,7 +98,7 @@ def detunings(omega_ex: float, omega_a: float, shift: float = 0.0) -> Detunings:
 class ModelParams:
     """All frequencies and couplings of the coupled dot-cavity system.
 
-    omega_b is pinned to 2*omega_a (doubly resonant cavity); `shift` is the
+    omega_b is the property 2*omega_a (doubly resonant cavity); `shift` is the
     phonon-induced renormalization subtracted from omega_ex.  Frequencies may
     be negative: the detuning-first construction (`from_detunings`) places no
     sign constraint on the implied mode frequency.
@@ -111,16 +111,8 @@ class ModelParams:
     g_nl: float
     lam: float = 0.0
     shift: float = 0.0
-    omega_b: float | None = None
 
     def __post_init__(self):
-        if self.omega_b is None:
-            object.__setattr__(self, "omega_b", 2.0 * self.omega_a)
-        elif self.omega_b != 2.0 * self.omega_a:
-            raise ValueError(
-                f"doubly resonant cavity requires omega_b == 2*omega_a, "
-                f"got omega_b={self.omega_b!r} with omega_a={self.omega_a!r}"
-            )
         if self.lam < 0.0:
             raise ValueError(f"Huang-Rhys factor must be >= 0, got {self.lam!r}")
 
@@ -158,6 +150,10 @@ class ModelParams:
         """Construct with lam and shift derived from a phonon spectrum."""
         return cls(omega_a=omega_a, omega_ex=omega_ex, g_a=g_a, g_b=g_b, g_nl=g_nl,
                    lam=huang_rhys(spectrum), shift=polaron_shift(spectrum))
+
+    @property
+    def omega_b(self) -> float:
+        return 2.0 * self.omega_a
 
     def detunings(self) -> Detunings:
         return detunings(self.omega_ex, self.omega_a, self.shift)

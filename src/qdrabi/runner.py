@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import FIELD_BY_KEY, RunConfig, SweepConfig, write_config
+from .config import FIELD_BY_KEY, RunConfig, SweepConfig, override, write_config
 from .dynamics import TimeSeries, integrate
 from .errors import IntegrationDivergedError
 from .oracle import check_cutoffs, compare, default_cutoffs, run_oracle
@@ -44,10 +44,10 @@ class RunOutcome:
     summary: dict = field(default_factory=dict)
 
 
-def _param_entries(config: RunConfig, step: float) -> list[tuple[str, object]]:
+def _param_entries(config: RunConfig) -> list[tuple[str, object]]:
     entries = []
     for key, fname in FIELD_BY_KEY.items():
-        value = step if key == "step" else getattr(config, fname)
+        value = getattr(config, fname)
         if value is None:  # an unset cutoff
             continue
         entries.append((f"param.{key}", value))
@@ -69,25 +69,30 @@ def _grid_entries(grid) -> list[tuple[str, object]]:
             ("t_final", grid.t_final())]
 
 
-def _cutoffs(config: RunConfig) -> tuple[int, int]:
-    """The oracle's (n_a, n_b), configured or automatic; ConfigError if they do not fit."""
+def _prepare(config: RunConfig):
+    """The run's spec and, when the oracle runs, its (n_a, n_b), configured or automatic.
+
+    Raises ConfigError for a grid over the limits or cutoffs that do not fit.
+    """
+    spec = config.to_dynamics_spec()
+    if not config.oracle:
+        return spec, None
     auto = default_cutoffs(config.index(), config.oracle_mode)
     cutoffs = (
         config.cutoff_a if config.cutoff_a is not None else auto[0],
         config.cutoff_b if config.cutoff_b is not None else auto[1],
     )
     check_cutoffs(*cutoffs, config.oracle_mode, config.index())
-    return cutoffs
+    return spec, cutoffs
 
 
-def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
+def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: Path,
                    dump_hamiltonian: bool):
     """Run the Fock-basis validator against an integrated series; write its report.
 
     The returned error is None when the oracle agrees; a deviation or leakage
     that is not finite is a mismatch in either mode.
     """
-    cutoffs = _cutoffs(config)
     mode = config.oracle_mode
     result = run_oracle(
         config.to_model_params(), series.t, index=config.index(),
@@ -125,110 +130,86 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, out_dir: Path,
 def run_single(
     config: RunConfig,
     out_dir,
-    step: float | None = None,
-    oracle: bool | None = None,
     dump_hamiltonian: bool = False,
     verb: str = "run",
     write_trajectory: bool = True,
 ) -> RunOutcome:
     """Integrate one configuration and write its artifacts; the manifest goes last."""
-    h = config.step if step is None else step
-    spec = config.to_dynamics_spec(step=h)
-    with_oracle = oracle or (oracle is None and config.oracle)
-    if with_oracle:
-        _cutoffs(config)  # bad cutoffs fail here, before any output exists
+    spec, cutoffs = _prepare(config)  # bad grids and cutoffs fail here, before any output
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    entries = [
-        ("artifact", "qdrabi"),
-        ("version", __version__),
-        ("verb", verb),
-    ]
     files: list[str] = []
     phases = {"integrate": 0.0, "oracle": 0.0, "write": 0.0}
+    outcome = RunOutcome(status=STATUS_OK, out_dir=str(out_dir))
 
+    t_last = None
     try:
         series = integrate(spec)
     except IntegrationDivergedError as exc:
-        phases["integrate"] = time.perf_counter() - started
-        entries += [("status", STATUS_DIVERGED), ("error", str(exc)),
-                    ("t_last", exc.t_last), ("duration_s", time.perf_counter() - started)]
-        entries += _phase_entries(phases) + _grid_entries(spec.grid) + _param_entries(config, h)
-        write_manifest(out_dir / "manifest.txt", entries, files)
-        return RunOutcome(status=STATUS_DIVERGED, out_dir=str(out_dir),
-                          files=files + ["manifest.txt"], error=str(exc))
-
+        series, t_last = None, exc.t_last
+        outcome.status, outcome.error = STATUS_DIVERGED, str(exc)
     phases["integrate"] = time.perf_counter() - started
 
-    if write_trajectory:
-        mark = time.perf_counter()
-        write_timeseries_csv(out_dir / "trajectory.csv", series)
-        write_p2_csv(out_dir / "p2.csv", series)
-        with open(out_dir / "resolved_config.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(write_config(config))
-        files += ["trajectory.csv", "p2.csv", "resolved_config.txt"]
-        phases["write"] = time.perf_counter() - mark
+    if series is not None:
+        if write_trajectory:
+            mark = time.perf_counter()
+            write_timeseries_csv(out_dir / "trajectory.csv", series)
+            write_p2_csv(out_dir / "p2.csv", series)
+            with open(out_dir / "resolved_config.txt", "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(write_config(config))
+            files += ["trajectory.csv", "p2.csv", "resolved_config.txt"]
+            phases["write"] = time.perf_counter() - mark
+        if cutoffs is not None:
+            mark = time.perf_counter()
+            deviation, leakage, error, extra = _oracle_report(
+                config, series, spec.y0, cutoffs, out_dir, dump_hamiltonian)
+            phases["oracle"] = time.perf_counter() - mark
+            outcome.deviation = deviation
+            outcome.max_leakage = leakage
+            files += extra
+            if error is not None:
+                outcome.status = STATUS_MISMATCH
+                outcome.error = error
+        outcome.summary = {
+            "max_p2": float(series.p2.max()),
+            "min_p2": float(series.p2.min()),
+            "dominant_freq": dominant_angular_frequency(series.t, series.p2),
+            "max_norm_drift": series.max_norm_drift(),
+        }
 
-    outcome = RunOutcome(status=STATUS_OK, out_dir=str(out_dir))
-    if with_oracle:
-        mark = time.perf_counter()
-        deviation, leakage, error, extra = _oracle_report(
-            config, series, spec.y0, out_dir, dump_hamiltonian)
-        phases["oracle"] = time.perf_counter() - mark
-        outcome.deviation = deviation
-        outcome.max_leakage = leakage
-        files += extra
-        if error is not None:
-            outcome.status = STATUS_MISMATCH
-            outcome.error = error
-
-    outcome.summary = {
-        "max_p2": float(series.p2.max()),
-        "min_p2": float(series.p2.min()),
-        "dominant_freq": dominant_angular_frequency(series.t, series.p2),
-        "max_norm_drift": series.max_norm_drift(),
-    }
-    entries.append(("status", outcome.status))
+    entries = [("artifact", "qdrabi"), ("version", __version__), ("verb", verb),
+               ("status", outcome.status)]
     if outcome.error is not None:
         entries.append(("error", outcome.error))
+    if t_last is not None:
+        entries.append(("t_last", t_last))
     entries.append(("duration_s", time.perf_counter() - started))
-    entries.append(("max_norm_drift", outcome.summary["max_norm_drift"]))
+    if outcome.summary:
+        entries.append(("max_norm_drift", outcome.summary["max_norm_drift"]))
     if outcome.deviation is not None:
         entries.append(("oracle_deviation", outcome.deviation))
         entries.append(("oracle_leakage", outcome.max_leakage))
-    entries += _phase_entries(phases) + _grid_entries(spec.grid) + _param_entries(config, h)
+    entries += _phase_entries(phases) + _grid_entries(spec.grid) + _param_entries(config)
     write_manifest(out_dir / "manifest.txt", entries, files)
 
     outcome.files = files + ["manifest.txt"]
     return outcome
 
 
-def oracle_check(
-    config: RunConfig,
-    out_dir,
-    step: float | None = None,
-    dump_hamiltonian: bool = False,
-) -> RunOutcome:
+def oracle_check(config: RunConfig, out_dir, dump_hamiltonian: bool = False) -> RunOutcome:
     """The `check` verb: a run validated against the Fock oracle, with no trajectory files."""
-    return run_single(config, out_dir, step=step, oracle=True,
-                      dump_hamiltonian=dump_hamiltonian, verb="check", write_trajectory=False)
+    return run_single(override(config, oracle=True), out_dir, dump_hamiltonian=dump_hamiltonian,
+                      verb="check", write_trajectory=False)
 
 
-def _sweep_point(args):
-    index, point_dir, config, step, oracle = args
-    outcome = run_single(config, point_dir, step=step, oracle=oracle,
-                         verb="sweep-point")
-    return index, outcome
+def _sweep_point(job):
+    index, point_dir, config = job
+    return index, run_single(config, point_dir, verb="sweep-point")
 
 
-def run_sweep(
-    sweep: SweepConfig,
-    out_dir,
-    step: float | None = None,
-    workers: int = 1,
-    oracle: bool | None = None,
-) -> RunOutcome:
+def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     """Run every grid point into its own subdirectory, then summarize.
 
     Failed points are recorded in the manifest and skipped in the summary;
@@ -236,19 +217,14 @@ def run_sweep(
     """
     points = sweep.points()
     for _, cfg in points:  # too many steps or bad cutoffs fail here, before any point runs
-        cfg.to_dynamics_spec(step=step)
-        if oracle or (oracle is None and cfg.oracle):
-            _cutoffs(cfg)
+        _prepare(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     width = max(3, len(str(len(points) - 1)))
     names = [f"point_{i:0{width}d}" for i in range(len(points))]
 
-    jobs = [
-        (i, out_dir / names[i], cfg, step, oracle)
-        for i, (_, cfg) in enumerate(points)
-    ]
+    jobs = [(i, out_dir / names[i], cfg) for i, (_, cfg) in enumerate(points)]
     outcomes: list[RunOutcome | None] = [None] * len(points)
     workers = min(workers, len(points), os.cpu_count() or 1)
     if workers > 1:

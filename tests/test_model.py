@@ -121,7 +121,8 @@ class TestModelParams:
         assert p.omega_b == 2 * 0.9
 
     def test_inconsistent_omega_b_rejected(self):
-        with pytest.raises(ValueError, match="doubly resonant"):
+        # omega_b is derived from omega_a, never passed
+        with pytest.raises(TypeError, match="omega_b"):
             ModelParams(omega_a=1.0, omega_ex=2.0, g_a=1, g_b=1, g_nl=0, omega_b=1.9)
 
     def test_negative_lambda_rejected(self):

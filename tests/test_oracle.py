@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,6 @@ class TestOracleAgainstIntegrator:
         cfg = preset_config("fig3")
         index = ManifoldIndex(1, 1)
         spec = cfg.to_dynamics_spec()
-        from dataclasses import replace
         spec = replace(spec, index=index)
         series = integrate(spec)
         result = run_oracle(cfg.to_model_params(), series.t, index=index)
@@ -179,7 +179,7 @@ class TestOracleAgainstIntegrator:
 
     def test_full_mode_reports_leakage_without_failing(self):
         cfg = preset_config("fig3")
-        series = integrate(cfg.to_dynamics_spec(step=1e-2))
+        series = integrate(replace(cfg, step=1e-2).to_dynamics_spec())
         result = run_oracle(cfg.to_model_params(), series.t, mode="full")
         assert result.max_leakage() > 0.0
         assert np.all(result.leakage >= -1e-12)
@@ -191,14 +191,14 @@ class TestOracleAgainstIntegrator:
 class TestCompare:
     def test_identical_series_deviate_by_zero(self):
         cfg = preset_config("fig3")
-        series = integrate(cfg.to_dynamics_spec(step=1e-2))
+        series = integrate(replace(cfg, step=1e-2).to_dynamics_spec())
         result = run_oracle(cfg.to_model_params(), series.t)
         result.amplitudes = series.amplitudes.copy()
         assert compare(result, series) == 0.0
 
     def test_single_entry_perturbation_is_measured(self):
         cfg = preset_config("fig3")
-        series = integrate(cfg.to_dynamics_spec(step=1e-2))
+        series = integrate(replace(cfg, step=1e-2).to_dynamics_spec())
         result = run_oracle(cfg.to_model_params(), series.t)
         result.amplitudes = series.amplitudes.copy()
         result.amplitudes[17, 3] += 1e-6
@@ -206,7 +206,7 @@ class TestCompare:
 
     def test_grid_mismatch_rejected(self):
         cfg = preset_config("fig3")
-        series = integrate(cfg.to_dynamics_spec(step=1e-2))
+        series = integrate(replace(cfg, step=1e-2).to_dynamics_spec())
         result = run_oracle(cfg.to_model_params(), series.t[:-1])
         with pytest.raises(GridMismatchError):
             compare(result, series)
@@ -216,8 +216,7 @@ class TestInitialStates:
     def test_oracle_accepts_manifold_superposition(self):
         cfg = preset_config("fig3")
         y0 = ManifoldAmplitudes(c1=0.6, d2=0.8)
-        from dataclasses import replace
-        spec = replace(cfg.to_dynamics_spec(step=1e-3), y0=y0)
+        spec = replace(replace(cfg, step=1e-3).to_dynamics_spec(), y0=y0)
         series = integrate(spec)
         result = run_oracle(cfg.to_model_params(), series.t, y0=y0)
         assert compare(result, series) < 1e-8

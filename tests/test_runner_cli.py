@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qdrabi import (
     run_single,
     run_sweep,
     oracle_check,
+    override,
     runner,
     verify_manifest,
 )
@@ -58,7 +60,7 @@ class TestRunSingle:
     def test_manifest_param_keys_in_order(self, tmp_path):
         cfg = parse_config(FIG3_TEXT.replace("lambda = 0.01\n", "phonon_modes = 0.1:1, 0.05:2\n")
                            + FAST + "cutoff_a = 5\n")
-        run_single(cfg, tmp_path / "out", step=0.02)
+        run_single(override(cfg, step=0.02), tmp_path / "out")
         entries = parse_manifest(tmp_path / "out" / "manifest.txt")
         keys = [k for k in entries if k.startswith("param.") or k == "defaulted"]
         assert keys == [
@@ -128,7 +130,7 @@ class TestRunSingle:
 
     def test_oracle_flag_writes_deviation_report(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST_CHECK)
-        outcome = run_single(cfg, tmp_path / "out", oracle=True)
+        outcome = run_single(override(cfg, oracle=True), tmp_path / "out")
         assert outcome.status == "ok"
         assert outcome.deviation < 1e-8
         report = parse_manifest(tmp_path / "out" / "deviation.txt")
@@ -148,13 +150,13 @@ class TestOracleCheck:
         # a deliberately huge step makes the integrator drift past the
         # tolerance while the oracle stays exact
         cfg = parse_config(FIG3_TEXT + "t_end = 10\nsamples = 100\n")
-        outcome = oracle_check(cfg, tmp_path / "out", step=0.3)
+        outcome = oracle_check(replace(cfg, step=0.3), tmp_path / "out")
         assert outcome.status == "oracle-mismatch"
         assert outcome.deviation > 1e-8
 
     def test_mismatch_says_why(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + "t_end = 10\nsamples = 100\n")
-        outcome = oracle_check(cfg, tmp_path / "out", step=0.3)
+        outcome = oracle_check(replace(cfg, step=0.3), tmp_path / "out")
         assert outcome.error.startswith("oracle deviation ")
         assert outcome.error.endswith(" exceeds the tolerance 1e-08")
 
@@ -356,6 +358,39 @@ class TestCli:
     def test_check_verb(self, tmp_path):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
         assert main(["check", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_flags_are_recorded_as_config_values(self, tmp_path, capsys):
+        # resolved_config.txt reruns to the same files, and the manifests
+        # record the flagged values as configured
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 0.5\nsamples = 50\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        flags = ["--step", "0.01", "--oracle"]
+        assert main(["run", cfg_path, "--out", str(first)] + flags) == EXIT_OK
+        assert main(["run", str(first / "resolved_config.txt"), "--out", str(second)]) == EXIT_OK
+        capsys.readouterr()
+        for name in ("trajectory.csv", "p2.csv", "deviation.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        for out in (first, second):
+            entries = parse_manifest(out / "manifest.txt")
+            assert (entries["param.step"], entries["param.oracle"]) == ("0.01", "true")
+            defaulted = entries["defaulted"].split(", ")
+            assert "step" not in defaulted and "oracle" not in defaulted
+
+    def test_check_manifest_records_oracle_on(self, tmp_path):
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
+        assert main(["check", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        entries = parse_manifest(tmp_path / "out" / "manifest.txt")
+        assert entries["param.oracle"] == "true"
+        assert "oracle" not in entries["defaulted"].split(", ")
+
+    def test_step_flag_on_swept_step_exits_1(self, tmp_path, capsys):
+        # the flag would replace values that summary.csv still lists
+        cfg_path = write(tmp_path / "sweep.cfg",
+                         FIG3_TEXT + FAST + "[sweep]\nparameter = step\nvalues = 0.01, 0.02\n")
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--out", str(out), "--step", "0.001"]) == EXIT_USAGE
+        assert "--step cannot override the swept 'step'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_errors_exit_1(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -613,7 +648,7 @@ class TestCliProperty:
             ("check", run_text + "oracle_mode = full\n"),
             ("sweep", run_text + sweep_block),
         ]
-        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        with tempfile.TemporaryDirectory() as tmp:
             for k, (verb, text) in enumerate(cases):
                 cfg_path = write(Path(tmp) / f"{k}.cfg", text)
                 code = main([verb, cfg_path, "--out", str(Path(tmp) / f"out{k}")])

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ EDGE_VALUES = [
 @pytest.fixture(scope="module")
 def short_series():
     cfg = preset_config("fig3")
-    return integrate(cfg.to_dynamics_spec(step=1e-2))
+    return integrate(replace(cfg, step=1e-2).to_dynamics_spec())
 
 
 class TestTrajectoryCsv:
