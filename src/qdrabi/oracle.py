@@ -8,6 +8,15 @@ matrix element is real, so the Hamiltonian is real symmetric and the
 eigensolver is the real one; only the six manifold components of the
 evolved state are ever formed.
 
+The phases exp(-iEt) are not evaluated sample by sample.  The samples of a
+trajectory lie on a uniform lattice, so `propagate` splits each sample time
+into a block anchor plus an in-block offset and multiplies two small tables
+of exponentials, about sqrt(samples) rows each; one matrix product then
+gives the six components at every sample.  A sample off the lattice (an
+off-stride final sample, irregular times, a phase that overflows) is
+evaluated directly, so any times give the same result as the per-sample
+exponentials, to rounding.
+
 Both modes assemble the matrix from the same ladder-operator elements on an
 explicit list of basis states.  Restricted mode works on the six manifold
 states alone, reproducing the truncation behind the amplitude equations
@@ -45,6 +54,10 @@ __all__ = [
 ]
 
 MAX_FULL_CUTOFF = 16
+
+# largest phase error, in radians, a lattice sample may carry before it is
+# propagated on its own
+_LATTICE_PHASE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,26 @@ def build_hamiltonian(
     return FockOperatorMatrix(matrix=ham, states=states)
 
 
+def _sample_lattice(times, scale: float):
+    """Spacing of the uniform lattice through the samples, and the mask of samples on it.
+
+    The lattice starts at the first sample.  Its spacing comes from the
+    endpoints of the lattice samples: the last sample, or the one before it
+    when the last is off-stride, whichever puts more samples on the lattice.
+    Sample k is on the lattice when t0 + k*spacing lies within
+    _LATTICE_PHASE_TOL / scale of it and its largest phase, scale*|t|, is finite.
+    """
+    n = len(times)
+    k = np.arange(n)
+    finite = np.abs(times) * scale < math.inf
+
+    def on_lattice(spacing):
+        return finite & (np.abs(times[0] + k * spacing - times) * scale <= _LATTICE_PHASE_TOL)
+
+    spacings = [(times[last] - times[0]) / last for last in (n - 1, n - 2) if last >= 1]
+    return max(((s, on_lattice(s)) for s in spacings or [0.0]), key=lambda pair: pair[1].sum())
+
+
 def propagate(ham, psi0, times, components=None) -> np.ndarray:
     """Evolve psi0 under a time-independent Hermitian matrix, one row per time.
 
@@ -188,6 +221,19 @@ def propagate(ham, psi0, times, components=None) -> np.ndarray:
     norm of psi0 is preserved.  A real symmetric matrix takes the real
     eigensolver.  Only the basis components listed in `components` are
     formed, in that order; None forms all of them.
+
+    The phases are factorised over the uniform sample lattice: with block
+    length B ~ sqrt(n), sample k = j*B + i sits at t0 + j*B*spacing +
+    i*spacing, so exp(-iEt) is the product of a row of a B x dim table of
+    in-block offsets and a row of a ceil(n/B) x dim table of block anchors.
+    About 2*sqrt(n)*dim exponentials replace n*dim.  With `components`, the
+    anchors are folded into the eigen-coefficients and component rows (a
+    dim x ceil(n/B)*len(components) array), so one matrix product gives
+    every sample; the full state is formed one block at a time, with
+    B x dim temporaries.  A sample off the lattice (irregular times, an
+    off-stride final sample, a phase that is not finite) gets its own
+    exponentials instead, so it comes out as the per-sample formula gives
+    it, non-finite where that is.
     """
     matrix = np.asarray(ham)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -201,9 +247,33 @@ def propagate(ham, psi0, times, components=None) -> np.ndarray:
             f"matrix with max |entry| {scale:.3e}: {exc}"
         ) from exc
     coeffs = vectors.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, energies))
     rows = vectors if components is None else vectors[components]
-    return (phases * coeffs) @ rows.T
+    weights = coeffs[:, None] * rows.T  # dim x c: eigen-coefficient times component row
+
+    n = len(times)
+    if n == 0:
+        return np.empty((0, weights.shape[1]), dtype=complex)
+    scale = float(np.abs(energies).max(initial=0.0))
+    spacing, on_lattice = _sample_lattice(times, scale)
+    block = math.isqrt(n - 1) + 1
+    offsets = np.exp(-1j * np.outer(np.arange(block) * spacing, energies))
+    anchors = np.exp(-1j * np.outer(times[0] + np.arange(0, n, block) * spacing, energies))
+    if components is not None:
+        # anchors folded into the weights, dim x (blocks * c): one product for every sample
+        folded = (anchors.T[:, :, None] * weights[:, None, :]).reshape(len(energies), -1)
+        out = (offsets @ folded).reshape(block, len(anchors), -1).transpose(1, 0, 2)
+        out = out.reshape(-1, weights.shape[1])[:n]
+    else:
+        # the full state, one block at a time: temporaries stay block x dim
+        out = np.empty((n, weights.shape[1]), dtype=complex)
+        for anchor, start in zip(anchors, range(0, n, block)):
+            stop = min(start + block, n)
+            out[start:stop] = (offsets[:stop - start] * anchor) @ weights
+    off = np.flatnonzero(~on_lattice)
+    for first in range(0, off.size, block):
+        chunk = off[first:first + block]
+        out[chunk] = np.exp(-1j * np.outer(times[chunk], energies)) @ weights
+    return out
 
 
 def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndarray:

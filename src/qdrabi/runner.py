@@ -32,6 +32,9 @@ STATUS_DIVERGED = "diverged"
 STATUS_MISMATCH = "oracle-mismatch"
 STATUS_PARTIAL = "partial"
 
+# summary.csv columns after the swept values, each a key of RunOutcome.summary
+SUMMARY_COLUMNS = ("max_p2", "min_p2", "dominant_freq", "max_norm_drift")
+
 
 @dataclass
 class RunOutcome:
@@ -136,6 +139,13 @@ def run_single(
 ) -> RunOutcome:
     """Integrate one configuration and write its artifacts; the manifest goes last."""
     spec, cutoffs = _prepare(config)  # bad grids and cutoffs fail here, before any output
+    return _run_prepared(config, spec, cutoffs, out_dir, dump_hamiltonian, verb,
+                         write_trajectory)
+
+
+def _run_prepared(config: RunConfig, spec, cutoffs, out_dir, dump_hamiltonian: bool,
+                  verb: str, write_trajectory: bool) -> RunOutcome:
+    """run_single's body, from the spec and cutoffs that _prepare(config) returned."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -205,8 +215,9 @@ def oracle_check(config: RunConfig, out_dir, dump_hamiltonian: bool = False) -> 
 
 
 def _sweep_point(job):
-    index, point_dir, config = job
-    return index, run_single(config, point_dir, verb="sweep-point")
+    index, point_dir, config, (spec, cutoffs) = job
+    return index, _run_prepared(config, spec, cutoffs, point_dir, dump_hamiltonian=False,
+                                verb="sweep-point", write_trajectory=True)
 
 
 def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
@@ -216,15 +227,15 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     the outcome is `partial` if any point failed.
     """
     points = sweep.points()
-    for _, cfg in points:  # too many steps or bad cutoffs fail here, before any point runs
-        _prepare(cfg)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     width = max(3, len(str(len(points) - 1)))
     names = [f"point_{i:0{width}d}" for i in range(len(points))]
+    # too many steps or bad cutoffs fail here, before any point runs; each
+    # point then runs from the spec and cutoffs prepared for it here
+    jobs = [(i, out_dir / names[i], cfg, _prepare(cfg)) for i, (_, cfg) in enumerate(points)]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
 
-    jobs = [(i, out_dir / names[i], cfg) for i, (_, cfg) in enumerate(points)]
     outcomes: list[RunOutcome | None] = [None] * len(points)
     workers = min(workers, len(points), os.cpu_count() or 1)
     if workers > 1:
@@ -237,13 +248,13 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
             outcomes[i] = outcome
 
     axis_names = [axis.parameter for axis in sweep.axes]
-    header = ",".join(axis_names + ["max_p2", "min_p2", "dominant_freq"])
+    header = ",".join(axis_names + list(SUMMARY_COLUMNS))
     rows = [header]
     for (values, _), outcome in zip(points, outcomes):
         if outcome.status != STATUS_OK:
             continue
         cells = [fmt(float(v)) if isinstance(v, float) else str(v) for v in values]
-        cells += [fmt(outcome.summary[k]) for k in ("max_p2", "min_p2", "dominant_freq")]
+        cells += [fmt(outcome.summary[k]) for k in SUMMARY_COLUMNS]
         rows.append(",".join(cells))
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")

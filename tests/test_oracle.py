@@ -20,6 +20,7 @@ from qdrabi import (
 )
 from qdrabi.oracle import (
     OracleResult,
+    _sample_lattice,
     basis_index,
     basis_states,
     default_cutoffs,
@@ -329,3 +330,75 @@ class TestSixComponentOracle:
         ham = build_hamiltonian(p, 6, 5, mode=mode).matrix
         assert ham.dtype == np.float64
         assert np.array_equal(ham, ham.T)
+
+
+def _integrate_times(**fields):
+    """Sample times of a fig3 trajectory with the given config fields."""
+    return integrate(replace(preset_config("fig3"), **fields).to_dynamics_spec()).t
+
+
+# name -> sample times; the integrate grids are what run_oracle receives
+PHASE_GRIDS = {
+    "t_start-0": lambda: _integrate_times(step=0.01),
+    "t_start-3.7": lambda: _integrate_times(step=0.01, t_start=3.7, t_end=28.7),
+    "backward": lambda: _integrate_times(step=-0.01, t_start=25.0, t_end=0.0),
+    "off-stride-last": lambda: _integrate_times(step=0.01, samples=7),
+    "minus-5-to-100": lambda: np.linspace(-5.0, 100.0, 2001),
+    "random-sorted": lambda: np.sort(np.random.default_rng(29).uniform(0.0, 25.0, 300)),
+    "one-sample": lambda: np.array([2.5]),
+    "two-samples": lambda: np.array([0.0, 0.3]),
+}
+
+
+@pytest.fixture(scope="module")
+def phase_systems():
+    """(Hamiltonian, psi0, components): the dim-578 fig3 matrix and a small complex one."""
+    p = preset_config("fig3").to_model_params()
+    ham = build_hamiltonian(p, 16, 16)
+    slots = [ham.states.index(st) for st in manifold_states(ManifoldIndex())]
+    psi0 = np.zeros(len(ham.states), dtype=complex)
+    psi0[slots[3]] = 1.0
+    rng = np.random.default_rng(31)
+    mat = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    small_psi0 = rng.normal(size=24) + 1j * rng.normal(size=24)
+    return {"fig3-578": (ham.matrix, psi0, slots),
+            "complex-hermitian": (mat + mat.conj().T, small_psi0 / np.linalg.norm(small_psi0),
+                                  [23, 5, 0, 11])}
+
+
+class TestFactorisedPhases:
+    @pytest.mark.parametrize("system", ["fig3-578", "complex-hermitian"])
+    @pytest.mark.parametrize("grid", sorted(PHASE_GRIDS))
+    def test_matches_reference(self, phase_systems, system, grid):
+        ham, psi0, comps = phase_systems[system]
+        times = PHASE_GRIDS[grid]()
+        want = reference_propagate(ham, psi0, times)
+        assert np.abs(propagate(ham, psi0, times, comps) - want[:, comps]).max() <= 1e-12
+        assert np.abs(propagate(ham, psi0, times) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("grid", ["t_start-0", "t_start-3.7", "backward", "minus-5-to-100"])
+    def test_uniform_grids_lie_on_the_lattice(self, grid):
+        # a spacing taken from the first difference drifts off the lattice
+        # from t_start = 3.7 on; one taken from the endpoints does not
+        times = PHASE_GRIDS[grid]()
+        spacing, on = _sample_lattice(times, scale=250.0)
+        assert on.all()
+        assert spacing == (times[-1] - times[0]) / (len(times) - 1)
+
+    def test_off_stride_last_sample_is_the_only_one_off(self):
+        times = PHASE_GRIDS["off-stride-last"]()
+        _, on = _sample_lattice(times, scale=250.0)
+        assert len(times) == 9
+        assert on[:-1].all() and not on[-1]
+
+    def test_overflowing_phases_stay_nonfinite(self):
+        # E*t overflows at the last sample only, while its block anchor
+        # (E*1.5e8) and in-block offset (E*5e7) phases are both finite
+        ham = np.diag([1e300, -3e299, 0.0])
+        psi0 = np.ones(3) / math.sqrt(3.0)
+        times = np.linspace(0.0, 2e8, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = propagate(ham, psi0, times)
+            want = reference_propagate(ham, psi0, times)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.isfinite(got[:4]).all() and not np.isfinite(got[4]).any()

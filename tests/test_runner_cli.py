@@ -22,7 +22,7 @@ from qdrabi import (
     verify_manifest,
 )
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
-from qdrabi.config import FIELD_BY_KEY, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS
+from qdrabi.config import FIELD_BY_KEY, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS, RunConfig
 from qdrabi.serialize import parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
@@ -223,9 +223,13 @@ class TestSweep:
         outcome = run_sweep(cfg, tmp_path / "sweep")
         assert outcome.status == "ok"
         lines = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
-        assert lines[0] == "g_nl,max_p2,min_p2,dominant_freq"
+        assert lines[0] == "g_nl,max_p2,min_p2,dominant_freq,max_norm_drift"
         assert len(lines) == 3
         assert lines[1].startswith("0.5,")
+        # the last column is each point's manifest max_norm_drift, text for text
+        for i, line in enumerate(lines[1:]):
+            point = parse_manifest(tmp_path / "sweep" / f"point_{i:03d}" / "manifest.txt")
+            assert line.split(",")[-1] == point["max_norm_drift"]
         verify_manifest(tmp_path / "sweep" / "manifest.txt")
 
     def test_gnl_sweep_fixture(self, tmp_path):
@@ -254,6 +258,22 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
         assert len(rows) == 2  # header + the surviving point
         verify_manifest(tmp_path / "sweep" / "manifest.txt")
+
+    def test_each_point_spec_built_once(self, tmp_path, monkeypatch):
+        built = []
+        to_spec = RunConfig.to_dynamics_spec
+
+        def counting(config):
+            built.append(config)
+            return to_spec(config)
+
+        monkeypatch.setattr(RunConfig, "to_dynamics_spec", counting)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2\n"
+                           "parameter2 = delta_a\nvalues2 = 0.2, 1\n")
+        assert run_sweep(cfg, tmp_path / "sweep").status == "ok"
+        points = [point for _, point in cfg.points()]
+        assert len(points) == 4
+        assert [built.count(point) for point in points] == [1, 1, 1, 1]
 
     def test_workers_match_sequential(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = lambda\nvalues = 0, 0.5\n")

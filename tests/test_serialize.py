@@ -302,9 +302,11 @@ class TestByteIdentity:
                 reference_timeseries_csv(series).encode()
             assert (point_dir / "p2.csv").read_bytes() == reference_p2_csv(series).encode()
             summary.append([*values, series.p2.max(), series.p2.min(),
-                            dominant_angular_frequency(series.t, series.p2)])
+                            dominant_angular_frequency(series.t, series.p2),
+                            series.max_norm_drift()])
         assert (out / "summary.csv").read_bytes() == \
-            ("g_nl,delta_a,max_p2,min_p2,dominant_freq\n" + reference_rows(summary)).encode()
+            ("g_nl,delta_a,max_p2,min_p2,dominant_freq,max_norm_drift\n"
+             + reference_rows(summary)).encode()
         assert file_digests(out, skip_manifests=True) == \
             file_digests(tmp_path / "rerun", skip_manifests=True)
 
