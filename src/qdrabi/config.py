@@ -112,8 +112,8 @@ class RunConfig:
             lam=self.lam, shift=self.shift,
         )
 
-    def to_dynamics_spec(self) -> DynamicsSpec:
-        """Build the integrator spec; the detunings enter exactly as configured.
+    def grid(self) -> TimeGrid:
+        """The integration grid, with the sample stride that keeps about `samples` rows.
 
         Raises ConfigError when the grid takes more than MAX_STEPS steps or
         keeps more than MAX_ROWS samples.
@@ -131,6 +131,11 @@ class RunConfig:
                 f"samples = {self.samples} at step {self.step:g} keeps {grid.n_samples()} "
                 f"samples, more than the limit of {MAX_ROWS} rows"
             )
+        return grid
+
+    def to_dynamics_spec(self) -> DynamicsSpec:
+        """Build the integrator spec on `grid()`; the detunings enter exactly as configured."""
+        grid = self.grid()
         return DynamicsSpec(
             index=self.index(),
             g_a_eff=dressed_coupling(self.g_a, self.lam),

@@ -246,7 +246,8 @@ def propagate(ham, psi0, times, components=None) -> np.ndarray:
             f"eigendecomposition failed for a {matrix.shape[0]}x{matrix.shape[1]} "
             f"matrix with max |entry| {scale:.3e}: {exc}"
         ) from exc
-    coeffs = vectors.conj().T @ psi0
+    nz = np.flatnonzero(psi0)  # only psi0's nonzero entries: a real `vectors` stays real
+    coeffs = vectors[nz].conj().T @ psi0[nz]
     rows = vectors if components is None else vectors[components]
     weights = coeffs[:, None] * rows.T  # dim x c: eigen-coefficient times component row
 

@@ -6,6 +6,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .errors import IntegrationDivergedError
 from .oracle import check_cutoffs, compare, default_cutoffs, run_oracle
 from .serialize import (
     fmt,
+    write_lines,
     write_manifest,
     write_matrix_txt,
     write_p2_csv,
@@ -63,30 +65,20 @@ def _param_entries(config: RunConfig) -> list[tuple[str, object]]:
     return entries
 
 
-def _phase_entries(phases: dict[str, float]) -> list[tuple[str, object]]:
-    return [(f"phase.{name}_s", seconds) for name, seconds in phases.items()]
+def _cutoffs(config: RunConfig):
+    """The oracle's (n_a, n_b), configured or automatic; None when the oracle is off.
 
-
-def _grid_entries(grid) -> list[tuple[str, object]]:
-    return [("n_steps", grid.n_steps()), ("sample_every", grid.sample_every),
-            ("t_final", grid.t_final())]
-
-
-def _prepare(config: RunConfig):
-    """The run's spec and, when the oracle runs, its (n_a, n_b), configured or automatic.
-
-    Raises ConfigError for a grid over the limits or cutoffs that do not fit.
+    Raises ConfigError for cutoffs that do not fit the oracle mode.
     """
-    spec = config.to_dynamics_spec()
     if not config.oracle:
-        return spec, None
+        return None
     auto = default_cutoffs(config.index(), config.oracle_mode)
     cutoffs = (
         config.cutoff_a if config.cutoff_a is not None else auto[0],
         config.cutoff_b if config.cutoff_b is not None else auto[1],
     )
     check_cutoffs(*cutoffs, config.oracle_mode, config.index())
-    return spec, cutoffs
+    return cutoffs
 
 
 def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: Path,
@@ -122,8 +114,7 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: 
         f"status = {'ok' if error is None else 'mismatch'}",
     ]
     files = ["deviation.txt"]
-    with open(out_dir / "deviation.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(out_dir / "deviation.txt", lines)
     if dump_hamiltonian:
         write_matrix_txt(out_dir / "hamiltonian.txt", result.hamiltonian.matrix)
         files.append("hamiltonian.txt")
@@ -138,14 +129,8 @@ def run_single(
     write_trajectory: bool = True,
 ) -> RunOutcome:
     """Integrate one configuration and write its artifacts; the manifest goes last."""
-    spec, cutoffs = _prepare(config)  # bad grids and cutoffs fail here, before any output
-    return _run_prepared(config, spec, cutoffs, out_dir, dump_hamiltonian, verb,
-                         write_trajectory)
-
-
-def _run_prepared(config: RunConfig, spec, cutoffs, out_dir, dump_hamiltonian: bool,
-                  verb: str, write_trajectory: bool) -> RunOutcome:
-    """run_single's body, from the spec and cutoffs that _prepare(config) returned."""
+    spec = config.to_dynamics_spec()  # bad grids and cutoffs fail here, before any output
+    cutoffs = _cutoffs(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -166,9 +151,7 @@ def _run_prepared(config: RunConfig, spec, cutoffs, out_dir, dump_hamiltonian: b
             mark = time.perf_counter()
             write_timeseries_csv(out_dir / "trajectory.csv", series)
             write_p2_csv(out_dir / "p2.csv", series)
-            with open(out_dir / "resolved_config.txt", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write(write_config(config))
+            write_lines(out_dir / "resolved_config.txt", write_config(config).splitlines())
             files += ["trajectory.csv", "p2.csv", "resolved_config.txt"]
             phases["write"] = time.perf_counter() - mark
         if cutoffs is not None:
@@ -201,7 +184,10 @@ def _run_prepared(config: RunConfig, spec, cutoffs, out_dir, dump_hamiltonian: b
     if outcome.deviation is not None:
         entries.append(("oracle_deviation", outcome.deviation))
         entries.append(("oracle_leakage", outcome.max_leakage))
-    entries += _phase_entries(phases) + _grid_entries(spec.grid) + _param_entries(config)
+    entries += [(f"phase.{name}_s", seconds) for name, seconds in phases.items()]
+    entries += [("n_steps", spec.grid.n_steps()), ("sample_every", spec.grid.sample_every),
+                ("t_final", spec.grid.t_final())]
+    entries += _param_entries(config)
     write_manifest(out_dir / "manifest.txt", entries, files)
 
     outcome.files = files + ["manifest.txt"]
@@ -215,51 +201,51 @@ def oracle_check(config: RunConfig, out_dir, dump_hamiltonian: bool = False) -> 
 
 
 def _sweep_point(job):
-    index, point_dir, config, (spec, cutoffs) = job
-    return index, _run_prepared(config, spec, cutoffs, point_dir, dump_hamiltonian=False,
-                                verb="sweep-point", write_trajectory=True)
+    index, point_dir, config = job
+    return index, run_single(config, point_dir, verb="sweep-point")
 
 
 def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     """Run every grid point into its own subdirectory, then summarize.
 
-    Failed points are recorded in the manifest and skipped in the summary;
-    the outcome is `partial` if any point failed.
+    Every point's grid and oracle cutoffs are checked before any output,
+    without building its spec.  Each point then runs through `run_single`,
+    and the results are taken in point order as they arrive.  Failed points
+    are recorded in the manifest and skipped in the summary; the outcome is
+    `partial` if any point failed.
     """
     points = sweep.points()
+    for _, config in points:  # a bad grid or bad cutoffs at any point fail here
+        config.grid()
+        _cutoffs(config)
     out_dir = Path(out_dir)
     width = max(3, len(str(len(points) - 1)))
-    names = [f"point_{i:0{width}d}" for i in range(len(points))]
-    # too many steps or bad cutoffs fail here, before any point runs; each
-    # point then runs from the spec and cutoffs prepared for it here
-    jobs = [(i, out_dir / names[i], cfg, _prepare(cfg)) for i, (_, cfg) in enumerate(points)]
+
+    def name(i):
+        return f"point_{i:0{width}d}"
+
+    jobs = ((i, out_dir / name(i), config) for i, (_, config) in enumerate(points))
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    outcomes: list[RunOutcome | None] = [None] * len(points)
-    workers = min(workers, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, outcome in pool.map(_sweep_point, jobs):
-                outcomes[i] = outcome
-    else:
-        for job in jobs:
-            i, outcome = _sweep_point(job)
-            outcomes[i] = outcome
-
     axis_names = [axis.parameter for axis in sweep.axes]
-    header = ",".join(axis_names + list(SUMMARY_COLUMNS))
-    rows = [header]
-    for (values, _), outcome in zip(points, outcomes):
-        if outcome.status != STATUS_OK:
-            continue
-        cells = [fmt(float(v)) if isinstance(v, float) else str(v) for v in values]
-        cells += [fmt(outcome.summary[k]) for k in SUMMARY_COLUMNS]
-        rows.append(",".join(cells))
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    rows = [",".join(axis_names + list(SUMMARY_COLUMNS))]
+    point_entries, files, failed = [], ["summary.csv"], 0
+    workers = min(workers, len(points), os.cpu_count() or 1)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        for i, outcome in (pool.map if workers > 1 else map)(_sweep_point, jobs):
+            point, values = name(i), points[i][0]
+            cells = [fmt(float(v)) if isinstance(v, float) else str(v) for v in values]
+            point_entries += [(f"point.{point}.values", ", ".join(cells)),
+                              (f"point.{point}.status", outcome.status)]
+            if outcome.status == STATUS_OK:
+                rows.append(",".join(cells + [fmt(outcome.summary[k]) for k in SUMMARY_COLUMNS]))
+            else:
+                failed += 1
+                point_entries.append((f"point.{point}.error", outcome.error))
+            files += [f"{point}/{rel}" for rel in outcome.files]
+    write_lines(out_dir / "summary.csv", rows)
 
-    failed = [i for i, o in enumerate(outcomes) if o.status != STATUS_OK]
     status = STATUS_PARTIAL if failed else STATUS_OK
     entries = [
         ("artifact", "qdrabi"),
@@ -268,17 +254,9 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
         ("status", status),
         ("duration_s", time.perf_counter() - started),
         ("points", len(points)),
-        ("failed_points", len(failed)),
+        ("failed_points", failed),
         ("workers", workers),
         ("swept", ", ".join(axis_names)),
     ]
-    files = ["summary.csv"]
-    for (values, _), name, outcome in zip(points, names, outcomes):
-        tag = ", ".join(fmt(float(v)) if isinstance(v, float) else str(v) for v in values)
-        entries.append((f"point.{name}.values", tag))
-        entries.append((f"point.{name}.status", outcome.status))
-        if outcome.status != STATUS_OK:
-            entries.append((f"point.{name}.error", outcome.error))
-        files += [f"{name}/{rel}" for rel in outcome.files]
-    write_manifest(out_dir / "manifest.txt", entries, files)
+    write_manifest(out_dir / "manifest.txt", entries + point_entries, files)
     return RunOutcome(status=status, out_dir=str(out_dir), files=files + ["manifest.txt"])

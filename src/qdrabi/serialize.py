@@ -21,6 +21,7 @@ __all__ = [
     "write_p2_csv",
     "write_matrix_txt",
     "sha256_file",
+    "write_lines",
     "write_manifest",
     "parse_manifest",
     "verify_manifest",
@@ -215,6 +216,12 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def write_lines(path, lines):
+    """Write text lines as UTF-8, each ending in a LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))
+
+
 def write_manifest(path, entries: list[tuple[str, object]], files: list[str]):
     """Flat key = value manifest; `files` are paths relative to the manifest's directory.
 
@@ -225,8 +232,7 @@ def write_manifest(path, entries: list[tuple[str, object]], files: list[str]):
     lines = [f"{key} = {fmt(value)}" for key, value in entries]
     for rel in files:
         lines.append(f"file.{rel} = {sha256_file(base / rel)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def parse_manifest(path) -> dict[str, str]:

@@ -244,13 +244,14 @@ class TestSweep:
         np.testing.assert_allclose(freqs, expected, rtol=1e-9)
         assert freqs[0] > freqs[1] > freqs[2]
 
-    def test_failed_point_recorded_and_skipped(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_point_recorded_and_skipped(self, tmp_path, workers):
         text = (
             "delta_a = 0\ndelta_b = 0\nlambda = 0\ng_a = 0\ng_b = 0\ninitial = b\n"
             "t_end = 50\nstep = 0.05\nsamples = 1000\n"
             "[sweep]\nparameter = g_nl\nvalues = 0.001, 10000000\n"
         )
-        outcome = run_sweep(parse_config(text), tmp_path / "sweep")
+        outcome = run_sweep(parse_config(text), tmp_path / "sweep", workers=workers)
         assert outcome.status == "partial"
         entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
         assert entries["point.point_000.status"] == "ok"
@@ -275,6 +276,13 @@ class TestSweep:
         assert len(points) == 4
         assert [built.count(point) for point in points] == [1, 1, 1, 1]
 
+    def test_only_the_points_are_checked(self, tmp_path):
+        # at the default step of 1e-3 this window is over MAX_STEPS, but no point runs it
+        cfg = parse_config(FIG3_TEXT + "t_end = 11000\nsamples = 100\n"
+                           "[sweep]\nparameter = step\nvalues = 0.05, 0.1\n")
+        assert (cfg.base.t_end - cfg.base.t_start) / cfg.base.step > MAX_STEPS
+        assert run_sweep(cfg, tmp_path / "sweep").status == "ok"
+
     def test_workers_match_sequential(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = lambda\nvalues = 0, 0.5\n")
         run_sweep(cfg, tmp_path / "seq", workers=1)
@@ -284,6 +292,18 @@ class TestSweep:
         for point in ("point_000", "point_001"):
             assert (tmp_path / "seq" / point / "trajectory.csv").read_bytes() == \
                 (tmp_path / "par" / point / "trajectory.csv").read_bytes()
+
+        def manifest_lines(name):
+            # timings and the digests of the point manifests (which hold timings) differ
+            lines = (tmp_path / name / "manifest.txt").read_text().splitlines()
+            return [line for line in lines
+                    if not line.startswith(("duration_s ", "phase."))
+                    and not (line.startswith("file.") and "manifest.txt " in line)]
+
+        # only the worker count may differ
+        workers = min(2, os.cpu_count() or 1)
+        assert manifest_lines("par") == [f"workers = {workers}" if line == "workers = 1" else line
+                                         for line in manifest_lines("seq")]
 
     def test_workers_capped_at_point_count(self, tmp_path, monkeypatch):
         started = []
@@ -331,20 +351,21 @@ class TestSweep:
         entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
         assert entries["workers"] == "4"
 
-    def test_failed_point_error_recorded(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_point_error_recorded(self, tmp_path, workers):
         text = (
             "delta_a = 0\ndelta_b = 0\nlambda = 0\ng_a = 0\ng_b = 0\ninitial = b\n"
             "t_end = 50\nstep = 0.05\nsamples = 1000\n"
             "[sweep]\nparameter = g_nl\nvalues = 0.001, 10000000\n"
         )
-        run_sweep(parse_config(text), tmp_path / "sweep")
+        run_sweep(parse_config(text), tmp_path / "sweep", workers=workers)
         entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
         assert "point.point_000.error" not in entries
         assert entries["point.point_001.error"].startswith("state became nonfinite between t=")
         point = parse_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
         assert entries["point.point_001.error"] == point["error"]
         assert point["t_final"] == "50"
-        assert entries["workers"] == "1"
+        assert entries["workers"] == str(min(workers, os.cpu_count() or 1))
 
 
 class TestCli:
