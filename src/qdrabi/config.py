@@ -55,13 +55,20 @@ REQUIRED_KEYS = ("g_nl", "delta_a", "delta_b", "lambda")
 SWEEPABLE_KEYS = ("g_a", "g_b", "g_nl", "delta_a", "delta_b", "lambda", "m", "n", "step")
 INITIAL_SLOTS = ("a", "b", "c", "d", "e", "f", "excited")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
-# RK4 steps one trajectory may take: about 200 s at ~20 us/step, 400x the fig3 grid
+# RK4 steps one trajectory may take, 400x the fig3 grid.  Steps are powered per
+# sample stride, not taken one by one, so this no longer bounds the time (10^7
+# fig3 steps, t_end = 10^4, integrate in ~2 ms on a 2-core x86 host); it is kept
+# so that every accepted step count is a float-exact integer that n_steps() can
+# round, and a mistyped step or window fails with a config error
 MAX_STEPS = 10_000_000
 # samples one trajectory may keep: each is a row of trajectory.csv and p2.csv
 # (about 300 MB of text at this limit), 400x the default grid
 MAX_ROWS = 1_000_000
-# points one sweep grid may have: every point's spec is built and checked before
-# the first runs (about 5 s and 130 MB at this limit), and each writes a directory
+# points one sweep grid may have.  Only each point's grid and oracle cutoffs are
+# checked before the first runs (about 2 s and 76 MiB peak RSS at this limit, a
+# g_nl sweep on a 2-core x86 host), so the check is cheap; the bound is kept for
+# the output, since each point writes its own directory (~0.65 MB for a
+# default fig3 point, some 65 GB at this limit)
 MAX_POINTS = 100_000
 # photon numbers m and n: the couplings take square roots of products like
 # (n+1)(m+1)(m+2), which stop converting to a float near 1e308; this bound
@@ -359,6 +366,12 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
             raise ConfigError(str(exc), line=lineno) from exc
         shift = polaron_shift(spectrum)
         lam_from_spectrum = huang_rhys(spectrum)
+        if not (math.isfinite(shift) and math.isfinite(lam_from_spectrum)):
+            raise ConfigError(
+                f"phonon_modes give a Huang-Rhys factor of {fmt(lam_from_spectrum)} and "
+                f"a polaron shift of {fmt(shift)}; both must be finite",
+                line=lineno,
+            )
         if has("lambda"):
             warnings.warn(
                 "both lambda and phonon_modes given; using the direct lambda "

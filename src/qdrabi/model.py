@@ -64,8 +64,14 @@ def polaron_shift(spectrum: PhononSpectrum) -> float:
 
 
 def huang_rhys(spectrum: PhononSpectrum) -> float:
-    """Dimensionless exciton-phonon coupling strength: sum of (M_q / w_q)^2."""
-    return sum(((m.coupling / m.frequency) ** 2 for m in spectrum.modes), 0.0)
+    """Dimensionless exciton-phonon coupling strength: sum of (M_q / w_q)^2.
+
+    A term past the float range gives inf, as it does in polaron_shift.
+    """
+    try:
+        return sum(((m.coupling / m.frequency) ** 2 for m in spectrum.modes), 0.0)
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
 
 
 def dressed_coupling(g: float, lam: float) -> float:

@@ -44,8 +44,7 @@ __all__ = [
     "basis_states",
     "basis_index",
     "manifold_states",
-    "default_cutoffs",
-    "check_cutoffs",
+    "resolve_cutoffs",
     "build_hamiltonian",
     "propagate",
     "to_interaction_picture",
@@ -103,36 +102,34 @@ def manifold_states(index: ManifoldIndex) -> tuple[BasisState, ...]:
     )
 
 
-def default_cutoffs(index: ManifoldIndex, mode: str) -> tuple[int, int]:
-    """Smallest cutoffs valid for the mode: tight for restricted, +2 margin for full."""
-    if mode == "restricted":
-        return index.m + 2, index.n + 1
-    return index.m + 4, index.n + 3
-
-
-def check_cutoffs(n_a: int, n_b: int, mode: str, index: ManifoldIndex) -> None:
-    """Raise ConfigError unless the photon cutoffs suit the mode around `index`.
+def resolve_cutoffs(index: ManifoldIndex, mode: str, n_a: int | None = None,
+                    n_b: int | None = None) -> tuple[int, int]:
+    """The photon cutoffs (n_a, n_b) for the mode around `index`, checked.
 
     Cutoffs must contain the manifold (n_a >= m+2, n_b >= n+1); full mode
-    additionally demands two quanta of headroom in each mode and caps the
-    cutoffs at MAX_FULL_CUTOFF.
+    also demands two quanta of headroom in each mode and caps the cutoffs at
+    MAX_FULL_CUTOFF.  A None cutoff takes the smallest value the containment
+    and headroom rules allow.  Raises ConfigError for cutoffs that break a rule.
     """
     need_a, need_b = index.m + 2, index.n + 1
+    margin = 2 if mode == "full" else 0
+    n_a = need_a + margin if n_a is None else n_a
+    n_b = need_b + margin if n_b is None else n_b
     if n_a < need_a or n_b < need_b:
         raise ConfigError(
             f"cutoffs ({n_a}, {n_b}) cannot contain the (m={index.m}, n={index.n}) "
             f"manifold; need at least ({need_a}, {need_b})"
         )
-    if mode == "full":
-        if n_a < need_a + 2 or n_b < need_b + 2:
-            raise ConfigError(
-                f"full mode needs two quanta of headroom beyond the manifold: "
-                f"cutoffs ({n_a}, {n_b}) < ({need_a + 2}, {need_b + 2})"
-            )
-        if n_a > MAX_FULL_CUTOFF or n_b > MAX_FULL_CUTOFF:
-            raise ConfigError(
-                f"full-mode cutoffs are capped at {MAX_FULL_CUTOFF}, got ({n_a}, {n_b})"
-            )
+    if n_a < need_a + margin or n_b < need_b + margin:
+        raise ConfigError(
+            f"full mode needs two quanta of headroom beyond the manifold: "
+            f"cutoffs ({n_a}, {n_b}) < ({need_a + margin}, {need_b + margin})"
+        )
+    if mode == "full" and (n_a > MAX_FULL_CUTOFF or n_b > MAX_FULL_CUTOFF):
+        raise ConfigError(
+            f"full-mode cutoffs are capped at {MAX_FULL_CUTOFF}, got ({n_a}, {n_b})"
+        )
+    return n_a, n_b
 
 
 @dataclass(frozen=True)
@@ -152,22 +149,22 @@ def _free_energies(params: ModelParams, states) -> np.ndarray:
 
 def build_hamiltonian(
     params: ModelParams,
-    n_a: int,
-    n_b: int,
+    n_a: int | None = None,
+    n_b: int | None = None,
     mode: str = "full",
     index: ManifoldIndex = ManifoldIndex(),
 ) -> FockOperatorMatrix:
     """Assemble the transformed Hamiltonian with the phonon operator at its mean exp(-lam/2).
 
-    The cutoffs must pass check_cutoffs.  Full mode works on
-    basis_states(n_a, n_b), restricted mode on the six manifold_states(index)
-    in amplitude order, so its matrix is the 6x6 manifold block of the full
-    one.  Free energies, dressed couplings and ladder square roots are all
+    The cutoffs go through resolve_cutoffs, so None takes the smallest valid
+    one.  Full mode works on basis_states(n_a, n_b), restricted mode on the
+    six manifold_states(index) in amplitude order, so its matrix is the 6x6
+    manifold block of the full one.  Free energies, dressed couplings and ladder square roots are all
     real, so the matrix is float64 and exactly symmetric by construction.
     """
     if mode not in ("restricted", "full"):
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
-    check_cutoffs(n_a, n_b, mode, index)
+    n_a, n_b = resolve_cutoffs(index, mode, n_a, n_b)
     if mode == "full":
         states = basis_states(n_a, n_b)
     else:
@@ -309,14 +306,18 @@ def run_oracle(
 ) -> OracleResult:
     """Propagate the truncated-basis Hamiltonian and project onto the manifold.
 
-    Only the six manifold components are propagated.  The norm is that of
-    the initial state, which the evolution keeps, and the leakage is the
-    norm minus the probability inside the manifold.
+    y0 holds the interaction-picture amplitudes at the first sample time t0,
+    as the integrator takes them, so the state at t0 carries the free phases
+    exp(-i E0 t0) and is propagated over times - t0.  Only the six manifold
+    components are propagated.  The norm is that of the initial state, which
+    the evolution keeps, and the leakage is the norm minus the probability
+    inside the manifold.
     """
     if y0 is None:
         y0 = ManifoldAmplitudes.unit("d")
-    n_a, n_b = cutoffs if cutoffs is not None else default_cutoffs(index, mode)
-    ham = build_hamiltonian(params, n_a, n_b, mode=mode, index=index)
+    ham = build_hamiltonian(params, *(cutoffs or (None, None)), mode=mode, index=index)
+    times = np.asarray(times, dtype=float)
+    t0 = times[0] if len(times) else 0.0
 
     six = manifold_states(index)
     slots = [ham.states.index(st) for st in six]
@@ -328,7 +329,9 @@ def run_oracle(
     # phases that overflow give nan amplitudes, which the caller reports as a
     # non-finite result; numpy's warnings about them would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
-        psi_t = propagate(ham.matrix, psi0, times, slots)
+        if t0 != 0.0:  # at t0 = 0 psi0 is y0 itself, signs of zero included
+            psi0[slots] *= np.exp(-1j * _free_energies(params, six) * t0)
+        psi_t = propagate(ham.matrix, psi0, times - t0, slots)
         # unitary evolution keeps the norm of psi0; the eigenvector matrix is
         # unitary, so it equals the sum of |eigen-coefficient|^2 as well
         norm = np.full(len(psi_t), float(np.vdot(psi0, psi0).real))
@@ -339,8 +342,8 @@ def run_oracle(
     amplitudes[:, 0::2] = amps_c.real
     amplitudes[:, 1::2] = amps_c.imag
     p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
-    return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes, p2=p2,
-                        norm=norm, leakage=norm - inside, hamiltonian=ham)
+    return OracleResult(t=times, amplitudes=amplitudes, p2=p2, norm=norm, leakage=norm - inside,
+                        hamiltonian=ham)
 
 
 def compare(oracle: OracleResult, ode: TimeSeries) -> float:

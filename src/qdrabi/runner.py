@@ -14,7 +14,7 @@ from . import __version__
 from .config import FIELD_BY_KEY, RunConfig, SweepConfig, override, write_config
 from .dynamics import TimeSeries, integrate
 from .errors import IntegrationDivergedError
-from .oracle import check_cutoffs, compare, default_cutoffs, run_oracle
+from .oracle import compare, resolve_cutoffs, run_oracle
 from .serialize import (
     fmt,
     write_lines,
@@ -66,19 +66,10 @@ def _param_entries(config: RunConfig) -> list[tuple[str, object]]:
 
 
 def _cutoffs(config: RunConfig):
-    """The oracle's (n_a, n_b), configured or automatic; None when the oracle is off.
-
-    Raises ConfigError for cutoffs that do not fit the oracle mode.
-    """
+    """The oracle's checked (n_a, n_b), configured or default; None when the oracle is off."""
     if not config.oracle:
         return None
-    auto = default_cutoffs(config.index(), config.oracle_mode)
-    cutoffs = (
-        config.cutoff_a if config.cutoff_a is not None else auto[0],
-        config.cutoff_b if config.cutoff_b is not None else auto[1],
-    )
-    check_cutoffs(*cutoffs, config.oracle_mode, config.index())
-    return cutoffs
+    return resolve_cutoffs(config.index(), config.oracle_mode, config.cutoff_a, config.cutoff_b)
 
 
 def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: Path,

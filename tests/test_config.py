@@ -95,9 +95,17 @@ class TestRunParsing:
         assert cfg.lam == 0.5
         assert cfg.shift == pytest.approx(0.01, abs=1e-16)
 
-    def test_bad_phonon_mode_reports_line(self):
-        text = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nphonon_modes = 0.1:-1.0\n"
-        with pytest.raises(ConfigError, match="line 4"):
+    @pytest.mark.parametrize("extra, modes", [
+        pytest.param("", "0.1:-1.0", id="negative-frequency"),
+        pytest.param("", "1e160:1e-10", id="lambda-overflows"),  # (c/w)**2 overflows
+        pytest.param("", "1e300:1e-300", id="lambda-and-shift-inf"),
+        # a direct lambda still takes the spectrum's shift
+        pytest.param("lambda = 0.01\n", "1e160:1e-10", id="direct-lambda-shift-inf"),
+    ])
+    def test_bad_phonon_mode_reports_line(self, extra, modes):
+        text = f"g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\n{extra}phonon_modes = {modes}\n"
+        line = 4 + extra.count("\n")
+        with pytest.raises(ConfigError, match=f"line {line}"):
             parse_config(text)
 
 

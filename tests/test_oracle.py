@@ -23,8 +23,8 @@ from qdrabi.oracle import (
     _sample_lattice,
     basis_index,
     basis_states,
-    default_cutoffs,
     manifold_states,
+    resolve_cutoffs,
 )
 
 
@@ -75,7 +75,7 @@ class TestBuildHamiltonian:
     def test_restricted_is_manifold_block_of_full(self, m, n):
         p = params(g_a=1.2, g_b=0.5, g_nl=0.8, lam=0.3)
         index = ManifoldIndex(m, n)
-        n_a, n_b = default_cutoffs(index, "full")
+        n_a, n_b = resolve_cutoffs(index, "full")
         full = build_hamiltonian(p, n_a, n_b, mode="full", index=index).matrix
         slots = [basis_index(st.s, st.m, st.n, n_a, n_b) for st in manifold_states(index)]
         restricted = build_hamiltonian(p, n_a, n_b, mode="restricted", index=index).matrix
@@ -109,10 +109,30 @@ class TestBuildHamiltonian:
         with pytest.raises(ConfigError):
             build_hamiltonian(params(), 3, 2, mode="exact")
 
-    def test_default_cutoffs(self):
-        assert default_cutoffs(ManifoldIndex(0, 0), "restricted") == (2, 1)
-        assert default_cutoffs(ManifoldIndex(0, 0), "full") == (4, 3)
-        assert default_cutoffs(ManifoldIndex(2, 1), "full") == (6, 4)
+    def test_resolve_cutoffs_defaults(self):
+        assert resolve_cutoffs(ManifoldIndex(0, 0), "restricted") == (2, 1)
+        assert resolve_cutoffs(ManifoldIndex(0, 0), "full") == (4, 3)
+        assert resolve_cutoffs(ManifoldIndex(2, 1), "full") == (6, 4)
+
+    def test_resolve_cutoffs_defaults_each_field_alone(self):
+        assert resolve_cutoffs(ManifoldIndex(), "full", 10, None) == (10, 3)
+        assert resolve_cutoffs(ManifoldIndex(), "full", None, 7) == (4, 7)
+        assert resolve_cutoffs(ManifoldIndex(1, 2), "restricted", None, 5) == (3, 5)
+
+    def test_resolve_cutoffs_checks_a_defaulted_pair(self):
+        with pytest.raises(ConfigError, match="headroom"):
+            resolve_cutoffs(ManifoldIndex(), "full", 3, None)
+        with pytest.raises(ConfigError, match="capped"):
+            resolve_cutoffs(ManifoldIndex(15, 0), "full")
+
+    @pytest.mark.parametrize("mode, cutoffs", [("full", (4, 3)), ("restricted", (2, 1))],
+                             ids=["full", "restricted"])
+    def test_build_hamiltonian_defaults_its_cutoffs(self, mode, cutoffs):
+        p = params(g_a=1.2, g_b=0.5, g_nl=0.8, lam=0.3)
+        got = build_hamiltonian(p, mode=mode)
+        want = build_hamiltonian(p, *cutoffs, mode=mode)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.states == want.states
 
 
 class TestPropagate:
@@ -163,11 +183,29 @@ class TestInteractionPicture:
 
 
 class TestOracleAgainstIntegrator:
-    def test_restricted_matches_ode_on_fig3(self):
-        cfg = preset_config("fig3")
+    @pytest.mark.parametrize("t_start", [0.0, 3.7, -2.0])
+    def test_restricted_matches_ode_on_fig3(self, t_start):
+        # both engines take the initial amplitudes at t_start
+        cfg = replace(preset_config("fig3"), t_start=t_start, t_end=t_start + 25.0)
         series = integrate(cfg.to_dynamics_spec())
         result = run_oracle(cfg.to_model_params(), series.t)
         assert compare(result, series) < 1e-8
+
+    def test_full_mode_leakage_does_not_depend_on_the_window_start(self):
+        # one excited amplitude: anchoring it at t_start is a global phase,
+        # so the leakage depends on the time since t_start alone
+        results = []
+        for t_start in (0.0, 3.7):
+            cfg = replace(preset_config("fig3"), initial="excited", step=1e-2,
+                          t_start=t_start, t_end=t_start + 25.0)
+            spec = cfg.to_dynamics_spec()
+            series = integrate(spec)
+            results.append(run_oracle(cfg.to_model_params(), series.t, y0=spec.y0, mode="full"))
+        at_0, at_3_7 = results
+        assert at_0.max_leakage() > 1e-3
+        assert abs(at_3_7.max_leakage() - at_0.max_leakage()) <= 1e-12
+        # sample by sample too: the window maxima alone may share a sample
+        assert np.abs(at_3_7.leakage - at_0.leakage).max() <= 1e-12
 
     def test_restricted_matches_ode_off_vacuum_manifold(self):
         cfg = preset_config("fig3")
@@ -249,11 +287,17 @@ def reference_run_oracle(
     mode: str = "restricted",
     cutoffs: tuple[int, int] | None = None,
 ) -> OracleResult:
-    """The full-state oracle: the reference for run_oracle's six-component path."""
+    """The full-state oracle: the reference for run_oracle's six-component path.
+
+    y0 is the interaction-picture state at the first sample time t0: the
+    Schroedinger state there is exp(-i E0 t0) y0, evolved over t - t0.
+    """
     if y0 is None:
         y0 = ManifoldAmplitudes.unit("d")
-    n_a, n_b = cutoffs if cutoffs is not None else default_cutoffs(index, mode)
+    n_a, n_b = cutoffs if cutoffs is not None else (None, None)
     ham = build_hamiltonian(params, n_a, n_b, mode=mode, index=index)
+    times = np.asarray(times, dtype=float)
+    t0 = times[0] if len(times) else 0.0
 
     six = manifold_states(index)
     slots = [ham.states.index(st) for st in six]
@@ -262,7 +306,9 @@ def reference_run_oracle(
     for k, slot in enumerate(slots):
         psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
 
-    psi_t = reference_propagate(ham.matrix, psi0, times)
+    # to_interaction_picture at -t0 multiplies each slot by exp(-i E0 t0)
+    psi0[slots] = to_interaction_picture(psi0[slots][None, :], [-t0], params, six)[0]
+    psi_t = reference_propagate(ham.matrix, psi0, times - t0)
     inside = (np.abs(psi_t[:, slots]) ** 2).sum(axis=1)
     total = (np.abs(psi_t) ** 2).sum(axis=1)
     amps_c = to_interaction_picture(psi_t[:, slots], times, params, six)

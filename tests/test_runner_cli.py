@@ -646,7 +646,8 @@ _VALUE = st.one_of(
     st.floats(-1e308, 1e308).filter(lambda x: abs(x) >= 1e6).map(repr),
     st.integers(-10 ** 308, 10 ** 308).map(str),
     st.sampled_from(["1e308", "-1e308", "1e-308", "abc", "", "1, 2", "true", "full",
-                     "restricted", "e", "0.1:1, 0.05:2", "1:-1"]),
+                     "restricted", "e", "0.1:1, 0.05:2", "1:-1", "1e160:1e-10",
+                     "1e300:1e-300"]),
 )
 _KEY = st.sampled_from([*FIELD_BY_KEY, "omega_a", "omega_ex", "phonon_modes", "bogus"])
 
