@@ -42,7 +42,7 @@ SUMMARY_COLUMNS = ("max_p2", "min_p2", "dominant_freq", "max_norm_drift")
 class RunOutcome:
     status: str
     out_dir: str
-    files: list[str] = field(default_factory=list)
+    files: dict[str, str] = field(default_factory=dict)  # relative path -> SHA-256
     error: str | None = None
     deviation: float | None = None
     max_leakage: float | None = None
@@ -104,11 +104,10 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: 
         f"max_leakage = {fmt(leakage)}",
         f"status = {'ok' if error is None else 'mismatch'}",
     ]
-    files = ["deviation.txt"]
-    write_lines(out_dir / "deviation.txt", lines)
+    files = {"deviation.txt": write_lines(out_dir / "deviation.txt", lines)}
     if dump_hamiltonian:
-        write_matrix_txt(out_dir / "hamiltonian.txt", result.hamiltonian.matrix)
-        files.append("hamiltonian.txt")
+        files["hamiltonian.txt"] = write_matrix_txt(out_dir / "hamiltonian.txt",
+                                                    result.hamiltonian.matrix)
     return deviation, leakage, error, files
 
 
@@ -125,7 +124,7 @@ def run_single(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    files: list[str] = []
+    files: dict[str, str] = {}
     phases = {"integrate": 0.0, "oracle": 0.0, "write": 0.0}
     outcome = RunOutcome(status=STATUS_OK, out_dir=str(out_dir))
 
@@ -140,10 +139,10 @@ def run_single(
     if series is not None:
         if write_trajectory:
             mark = time.perf_counter()
-            write_timeseries_csv(out_dir / "trajectory.csv", series)
-            write_p2_csv(out_dir / "p2.csv", series)
-            write_lines(out_dir / "resolved_config.txt", write_config(config).splitlines())
-            files += ["trajectory.csv", "p2.csv", "resolved_config.txt"]
+            files["trajectory.csv"] = write_timeseries_csv(out_dir / "trajectory.csv", series)
+            files["p2.csv"] = write_p2_csv(out_dir / "p2.csv", series)
+            files["resolved_config.txt"] = write_lines(out_dir / "resolved_config.txt",
+                                                       write_config(config).splitlines())
             phases["write"] = time.perf_counter() - mark
         if cutoffs is not None:
             mark = time.perf_counter()
@@ -152,7 +151,7 @@ def run_single(
             phases["oracle"] = time.perf_counter() - mark
             outcome.deviation = deviation
             outcome.max_leakage = leakage
-            files += extra
+            files.update(extra)
             if error is not None:
                 outcome.status = STATUS_MISMATCH
                 outcome.error = error
@@ -179,9 +178,8 @@ def run_single(
     entries += [("n_steps", spec.grid.n_steps()), ("sample_every", spec.grid.sample_every),
                 ("t_final", spec.grid.t_final())]
     entries += _param_entries(config)
-    write_manifest(out_dir / "manifest.txt", entries, files)
-
-    outcome.files = files + ["manifest.txt"]
+    files["manifest.txt"] = write_manifest(out_dir / "manifest.txt", entries, files)
+    outcome.files = files
     return outcome
 
 
@@ -221,10 +219,15 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
 
     axis_names = [axis.parameter for axis in sweep.axes]
     rows = [",".join(axis_names + list(SUMMARY_COLUMNS))]
-    point_entries, files, failed = [], ["summary.csv"], 0
+    point_entries, point_files, failed = [], {}, 0
     workers = min(workers, len(points), os.cpu_count() or 1)
+    # about 32 chunks a worker: large grids amortise the per-item round trip
+    # and the last chunks still balance the workers
+    chunksize = max(1, len(points) // (32 * workers))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        for i, outcome in (pool.map if workers > 1 else map)(_sweep_point, jobs):
+        results = (pool.map(_sweep_point, jobs, chunksize=chunksize) if workers > 1
+                   else map(_sweep_point, jobs))
+        for i, outcome in results:
             point, values = name(i), points[i][0]
             cells = [fmt(float(v)) if isinstance(v, float) else str(v) for v in values]
             point_entries += [(f"point.{point}.values", ", ".join(cells)),
@@ -234,8 +237,8 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
             else:
                 failed += 1
                 point_entries.append((f"point.{point}.error", outcome.error))
-            files += [f"{point}/{rel}" for rel in outcome.files]
-    write_lines(out_dir / "summary.csv", rows)
+            point_files.update((f"{point}/{rel}", digest) for rel, digest in outcome.files.items())
+    files = {"summary.csv": write_lines(out_dir / "summary.csv", rows), **point_files}
 
     status = STATUS_PARTIAL if failed else STATUS_OK
     entries = [
@@ -248,6 +251,6 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
         ("failed_points", failed),
         ("workers", workers),
         ("swept", ", ".join(axis_names)),
-    ]
-    write_manifest(out_dir / "manifest.txt", entries + point_entries, files)
-    return RunOutcome(status=status, out_dir=str(out_dir), files=files + ["manifest.txt"])
+    ] + point_entries
+    files["manifest.txt"] = write_manifest(out_dir / "manifest.txt", entries, files)
+    return RunOutcome(status=status, out_dir=str(out_dir), files=files)

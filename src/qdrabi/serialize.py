@@ -176,36 +176,44 @@ def format_block(block, seps: bytes) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _write_rows(fh, columns, seps: bytes):
-    """Write the rows of `columns` (1-D or 2-D float arrays) to the binary file `fh`."""
+def _write(path, chunks) -> str:
+    """Write byte chunks to `path` and return their SHA-256; every output file is written here."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.hexdigest()
+
+
+def _rows(columns, seps: bytes):
+    """The text of the rows of `columns` (1-D or 2-D float arrays), one block at a time."""
     rows = max(1, _BLOCK_VALUES // len(seps))
     for lo in range(0, len(columns[0]), rows):
-        fh.write(format_block(np.column_stack([col[lo:lo + rows] for col in columns]), seps))
+        yield format_block(np.column_stack([col[lo:lo + rows] for col in columns]), seps)
 
 
-def _write_csv(path, header: str, columns):
+def _csv(header: str, columns):
     """A header line, then one comma-separated row per sample, one value per header name."""
     width = header.count(",") + 1
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        _write_rows(fh, columns, b"," * (width - 1) + b"\n")
+    yield header.encode() + b"\n"
+    yield from _rows(columns, b"," * (width - 1) + b"\n")
 
 
-def write_timeseries_csv(path, series: TimeSeries):
+def write_timeseries_csv(path, series: TimeSeries) -> str:
     """Full trajectory: t, the 12 real amplitudes, excited population, norm."""
-    _write_csv(path, CSV_HEADER, [series.t, series.amplitudes, series.p2, series.norm])
+    return _write(path, _csv(CSV_HEADER, [series.t, series.amplitudes, series.p2, series.norm]))
 
 
-def write_p2_csv(path, series: TimeSeries):
+def write_p2_csv(path, series: TimeSeries) -> str:
     """Two-column plot file: t, p2."""
-    _write_csv(path, "t,p2", [series.t, series.p2])
+    return _write(path, _csv("t,p2", [series.t, series.p2]))
 
 
-def write_matrix_txt(path, matrix: np.ndarray):
+def write_matrix_txt(path, matrix: np.ndarray) -> str:
     """Row-major dump of a complex matrix: space-separated re,im pairs, one row per line."""
     pairs = np.ascontiguousarray(matrix, dtype=complex).view(float)  # re, im interleaved
-    with open(path, "wb") as fh:
-        _write_rows(fh, [pairs], b", " * (pairs.shape[1] // 2 - 1) + b",\n")
+    return _write(path, _rows([pairs], b", " * (pairs.shape[1] // 2 - 1) + b",\n"))
 
 
 def sha256_file(path) -> str:
@@ -216,23 +224,16 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_lines(path, lines):
+def write_lines(path, lines) -> str:
     """Write text lines as UTF-8, each ending in a LF."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"{line}\n" for line in lines))
+    return _write(path, ["".join(f"{line}\n" for line in lines).encode()])
 
 
-def write_manifest(path, entries: list[tuple[str, object]], files: list[str]):
-    """Flat key = value manifest; `files` are paths relative to the manifest's directory.
-
-    Digest lines are computed here so the manifest is always written after
-    the files it describes.
-    """
-    base = Path(path).parent
+def write_manifest(path, entries: list[tuple[str, object]], files: dict[str, str]) -> str:
+    """Flat key = value manifest; `files` maps paths relative to its directory to their digests."""
     lines = [f"{key} = {fmt(value)}" for key, value in entries]
-    for rel in files:
-        lines.append(f"file.{rel} = {sha256_file(base / rel)}")
-    write_lines(path, lines)
+    lines += [f"file.{rel} = {digest}" for rel, digest in files.items()]
+    return write_lines(path, lines)
 
 
 def parse_manifest(path) -> dict[str, str]:
@@ -248,11 +249,14 @@ def parse_manifest(path) -> dict[str, str]:
 
 
 def verify_manifest(path):
-    """Recompute digests of every file the manifest lists; raise on any mismatch."""
+    """Recompute digests of every file the manifest lists; raise on any mismatch.
+
+    Only a diverged run's manifest may list no files: it wrote none.
+    """
     base = Path(path).parent
     entries = parse_manifest(path)
     listed = {k[len("file."):]: v for k, v in entries.items() if k.startswith("file.")}
-    if not listed:
+    if not listed and entries.get("status") != "diverged":
         raise ValueError(f"manifest {path} lists no files")
     for rel, digest in listed.items():
         actual = sha256_file(base / rel)

@@ -43,6 +43,12 @@ def write(path, text):
     return str(path)
 
 
+def output_files(out_dir):
+    """Every file under `out_dir`, by path relative to it, with its bytes."""
+    return {path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
 class TestRunSingle:
     def test_writes_expected_files_and_manifest(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST)
@@ -127,6 +133,7 @@ class TestRunSingle:
         assert entries["status"] == "diverged"
         assert "t_last" in entries
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+        verify_manifest(tmp_path / "out" / "manifest.txt")
 
     def test_oracle_flag_writes_deviation_report(self, tmp_path):
         cfg = parse_config(FIG3_TEXT + FAST_CHECK)
@@ -259,6 +266,7 @@ class TestSweep:
         rows = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
         assert len(rows) == 2  # header + the surviving point
         verify_manifest(tmp_path / "sweep" / "manifest.txt")
+        verify_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
 
     def test_each_point_spec_built_once(self, tmp_path, monkeypatch):
         built = []
@@ -305,6 +313,29 @@ class TestSweep:
         assert manifest_lines("par") == [f"workers = {workers}" if line == "workers = 1" else line
                                          for line in manifest_lines("seq")]
 
+    def test_chunked_workers_match_sequential(self, tmp_path):
+        # 130 points over 2 workers go out in chunks of 2
+        cfg = parse_config(FIG3_TEXT + "t_end = 0.05\n[sweep]\nparameter = g_nl\n"
+                           "start = 0.5\nstop = 3\ncount = 130\n")
+        run_sweep(cfg, tmp_path / "seq", workers=1)
+        run_sweep(cfg, tmp_path / "par", workers=2)
+        seq, par = output_files(tmp_path / "seq"), output_files(tmp_path / "par")
+        assert len(seq) == 2 + 130 * 4  # summary, manifest and four files a point
+        assert seq.keys() == par.keys()
+        for rel, data in seq.items():
+            if not rel.endswith("manifest.txt"):
+                assert data == par[rel], rel
+
+    def test_sweep_reads_no_file_back(self, tmp_path, monkeypatch):
+        def read_back(path):
+            raise AssertionError(f"{path} was read back to hash it")
+
+        monkeypatch.setattr(qdrabi.serialize, "sha256_file", read_back)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2\n")
+        assert run_sweep(cfg, tmp_path / "sweep", workers=1).status == "ok"
+        monkeypatch.undo()
+        verify_manifest(tmp_path / "sweep" / "manifest.txt")
+
     def test_workers_capped_at_point_count(self, tmp_path, monkeypatch):
         started = []
 
@@ -318,7 +349,7 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
@@ -340,7 +371,7 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
@@ -375,6 +406,21 @@ class TestCli:
         assert code == EXIT_OK
         assert "status: ok" in capsys.readouterr().out
         verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    @pytest.mark.parametrize("flags, text", [
+        (["run"], FIG3_TEXT + FAST),
+        (["check", "--dump-hamiltonian"], FIG3_TEXT + FAST_CHECK),
+        (["sweep", "--workers", "2"], FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\n"
+         "values = 1, 2\nparameter2 = delta_a\nvalues2 = 0.2, 1\n"),
+    ], ids=["run", "check", "sweep"])
+    def test_manifest_lists_every_file(self, tmp_path, flags, text):
+        cfg_path = write(tmp_path / "in.cfg", text)
+        out = tmp_path / "out"
+        assert main([flags[0], cfg_path, "--out", str(out), *flags[1:]]) == EXIT_OK
+        listed = {key[len("file."):] for key in parse_manifest(out / "manifest.txt")
+                  if key.startswith("file.")}
+        assert set(output_files(out)) == listed | {"manifest.txt"}
+        verify_manifest(out / "manifest.txt")
 
     def test_preset_verb_resolves_caption_parameters(self, tmp_path):
         for name, expected in (
@@ -470,6 +516,7 @@ class TestCli:
         assert entries["status"] == "diverged"
         assert "t_last" in entries
         assert not (tmp_path / "out" / "deviation.txt").exists()
+        verify_manifest(tmp_path / "out" / "manifest.txt")
 
     @pytest.mark.parametrize("verb, text", [
         ("run", FIG3_TEXT.replace("delta_a = 1", "delta_a = 1e10")

@@ -1,4 +1,3 @@
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +10,12 @@ from qdrabi.oracle import build_hamiltonian, resolve_cutoffs
 from qdrabi.serialize import (
     _BLOCK_VALUES,
     CSV_HEADER,
-    _write_rows,
+    _rows,
     format_block,
     parse_manifest,
     sha256_file,
     verify_manifest,
+    write_lines,
     write_manifest,
     write_matrix_txt,
     write_p2_csv,
@@ -50,9 +50,7 @@ def csv_seps(width):
 
 
 def block_text(rows):
-    fh = io.BytesIO()
-    _write_rows(fh, [rows], csv_seps(rows.shape[1]))
-    return fh.getvalue().decode()
+    return b"".join(_rows([rows], csv_seps(rows.shape[1]))).decode()
 
 
 def block_rows(width):
@@ -171,9 +169,8 @@ class TestBlockFormatting:
         rng = np.random.default_rng(7)
         n = block_rows(5) + 3
         t, mat = rng.normal(size=n), rng.normal(size=(n, 4))
-        fh = io.BytesIO()
-        _write_rows(fh, [t, mat], csv_seps(5))
-        assert_same_text(fh.getvalue().decode(), reference_rows(np.column_stack([t, mat])))
+        text = b"".join(_rows([t, mat], csv_seps(5))).decode()
+        assert_same_text(text, reference_rows(np.column_stack([t, mat])))
 
 
 def kernel_text(values, width=1):
@@ -248,11 +245,10 @@ class TestMatrixDump:
 
 class TestManifest:
     def test_write_parse_verify(self, tmp_path):
-        (tmp_path / "a.csv").write_text("t,p2\n0,1\n")
-        (tmp_path / "b.csv").write_text("t,p2\n0,0\n")
+        files = {"a.csv": write_lines(tmp_path / "a.csv", ["t,p2", "0,1"]),
+                 "b.csv": write_lines(tmp_path / "b.csv", ["t,p2", "0,0"])}
         write_manifest(tmp_path / "manifest.txt",
-                       [("artifact", "qdrabi"), ("param.g_a", 1.0)],
-                       ["a.csv", "b.csv"])
+                       [("artifact", "qdrabi"), ("param.g_a", 1.0)], files)
         entries = parse_manifest(tmp_path / "manifest.txt")
         assert entries["artifact"] == "qdrabi"
         assert entries["param.g_a"] == "1"
@@ -261,18 +257,52 @@ class TestManifest:
 
     def test_tampering_detected(self, tmp_path):
         (tmp_path / "a.csv").write_text("t,p2\n0,1\n")
-        write_manifest(tmp_path / "manifest.txt", [("artifact", "qdrabi")], ["a.csv"])
+        write_manifest(tmp_path / "manifest.txt", [("artifact", "qdrabi")],
+                       {"a.csv": sha256_file(tmp_path / "a.csv")})
         (tmp_path / "a.csv").write_text("t,p2\n0,0.5\n")
         with pytest.raises(ValueError, match="digest mismatch"):
             verify_manifest(tmp_path / "manifest.txt")
 
     def test_manifest_without_files_rejected(self, tmp_path):
-        write_manifest(tmp_path / "manifest.txt", [("artifact", "qdrabi")], [])
+        write_manifest(tmp_path / "manifest.txt", [("artifact", "qdrabi")], {})
+        with pytest.raises(ValueError, match="no files"):
+            verify_manifest(tmp_path / "manifest.txt")
+
+    def test_only_a_diverged_manifest_may_list_no_files(self, tmp_path):
+        # a diverged run writes no file besides its manifest
+        write_manifest(tmp_path / "manifest.txt", [("status", "diverged")], {})
+        verify_manifest(tmp_path / "manifest.txt")
+        write_manifest(tmp_path / "manifest.txt", [("status", "ok")], {})
         with pytest.raises(ValueError, match="no files"):
             verify_manifest(tmp_path / "manifest.txt")
 
 
 FIG3_SHORT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\nt_end = 2\n"
+
+
+def _fig3_series():
+    return integrate(parse_config(FIG3_SHORT).to_dynamics_spec())
+
+
+def _complex_matrix():
+    rng = np.random.default_rng(3)
+    return rng.normal(size=(120, 120)) + 1j * rng.normal(size=(120, 120))
+
+
+# each writer, the CSV and matrix ones with inputs of several row blocks
+WRITERS = {
+    "timeseries_csv": lambda path: write_timeseries_csv(path, _fig3_series()),
+    "p2_csv": lambda path: write_p2_csv(path, _fig3_series()),
+    "matrix_txt": lambda path: write_matrix_txt(path, _complex_matrix()),
+    "lines": lambda path: write_lines(path, ["a = 1", "b = \u00e9"] * 3000),
+    "manifest": lambda path: write_manifest(path, [("status", "ok")], {"a.csv": "0" * 64}),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_returns_digest_of_its_file(tmp_path, writer):
+    path = tmp_path / "out.txt"
+    assert WRITERS[writer](path) == sha256_file(path)
 
 
 def file_digests(out_dir, skip_manifests=False):
