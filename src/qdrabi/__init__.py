@@ -38,7 +38,6 @@ from .dynamics import (
     ManifoldIndex,
     TimeGrid,
     TimeSeries,
-    excited_population,
     integrate,
     jc_baseline,
     nl_block_baseline,
@@ -74,7 +73,7 @@ __all__ = [
     "Detunings", "MaterialConstants", "ModelParams", "PhononMode", "PhononSpectrum",
     "detunings", "dressed_coupling", "gnl_from_material", "huang_rhys", "polaron_shift",
     "DynamicsSpec", "ManifoldAmplitudes", "ManifoldIndex", "TimeGrid", "TimeSeries",
-    "excited_population", "integrate", "jc_baseline", "nl_block_baseline", "rhs",
+    "integrate", "jc_baseline", "nl_block_baseline", "rhs",
     "BasisState", "FockOperatorMatrix", "OracleResult", "build_hamiltonian", "compare",
     "propagate", "run_oracle", "to_interaction_picture",
     "dominant_angular_frequency", "local_maxima",

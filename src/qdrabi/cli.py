@@ -18,7 +18,7 @@ from .config import (
     parse_config_file,
     preset_config,
 )
-from .errors import ConfigError, IntegrationDivergedError
+from .errors import ConfigError
 from .runner import (
     STATUS_DIVERGED,
     STATUS_MISMATCH,
@@ -134,9 +134,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"qdrabi: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IntegrationDivergedError as exc:
-        print(f"qdrabi: integration diverged: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (RuntimeError, FloatingPointError) as exc:
         print(f"qdrabi: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -478,8 +478,18 @@ def parse_config(text: str):
 
 
 def parse_config_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse a config file; bytes that are not UTF-8 are a ConfigError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "x" stands in for it, so the
+        # count includes its line even when a line break comes just before it
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                          line=line) from None
+    return parse_config(text)
 
 
 def override(config, step: float | None = None, oracle: bool = False):

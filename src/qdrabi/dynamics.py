@@ -43,7 +43,6 @@ __all__ = [
     "AMPLITUDE_COLUMNS",
     "rhs",
     "integrate",
-    "excited_population",
     "jc_baseline",
     "nl_block_baseline",
 ]
@@ -220,13 +219,6 @@ def rhs(t: float, y: ManifoldAmplitudes, spec: DynamicsSpec) -> ManifoldAmplitud
     return ManifoldAmplitudes(*_derivs(t, y.as_tuple(), ga, gb, gk, da, db))
 
 
-def excited_population(y) -> float:
-    """Probability of the dot being excited with the reference photon numbers: d1^2 + d2^2."""
-    if isinstance(y, ManifoldAmplitudes):
-        return y.d1 * y.d1 + y.d2 * y.d2
-    return y[6] * y[6] + y[7] * y[7]
-
-
 @dataclass
 class TimeSeries:
     """Sampled trajectory: times, 12 real amplitudes, excited population, norm."""
@@ -312,10 +304,11 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
     to rounding.
 
     Deterministic: identical specs give bit-identical samples.  Raises
-    IntegrationDivergedError (carrying the last finite sample time) if the
-    state leaves the finite range, which only happens when the step is far
-    too large for the coupling scale, or if a detuning phase over one step
-    overflows.
+    IntegrationDivergedError if the state leaves the finite range (carrying
+    the last finite sample time), if a detuning phase over one step
+    overflows, or if the norm grows past twice its initial value (carrying
+    the last sample inside that bound), which only happens when the step is
+    past the RK4 stability limit for the coupling scale.
     """
     coeffs = spec.coefficients()
     ga, gb, _, da, db = coeffs
@@ -370,6 +363,17 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
         last, first = t_arr[bad[0]], t_arr[bad[0] + 1]
         raise IntegrationDivergedError(
             f"state became nonfinite between t={float(last)!r} and t={float(first)!r}",
+            t_last=float(last),
+        )
+    # inside RK4's stability region this energy-conserving system keeps its
+    # norm to within the method's error, so a doubled norm means the step is
+    # past the limit
+    grown = np.flatnonzero(norms > 2.0 * norms[0])
+    if grown.size:
+        last, first = t_arr[grown[0] - 1], t_arr[grown[0]]
+        raise IntegrationDivergedError(
+            f"state norm more than doubled by t={float(first)!r}: step {h!r} is past "
+            f"the RK4 stability limit",
             t_last=float(last),
         )
     p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2

@@ -19,9 +19,10 @@ class ConfigError(ValueError):
 
 
 class IntegrationDivergedError(RuntimeError):
-    """The integrator produced a nonfinite state.
+    """The integrator produced a nonfinite state, or a step past the stability limit.
 
-    `t_last` is the last time at which the state was still finite.
+    `t_last` is the last sample time at which the state was still finite and
+    inside the norm bound.
     """
 
     def __init__(self, message, t_last):

@@ -143,26 +143,9 @@ class ModelParams:
         return cls(omega_a=omega_a, omega_ex=omega_ex, g_a=g_a, g_b=g_b,
                    g_nl=g_nl, lam=lam, shift=shift)
 
-    @classmethod
-    def from_spectrum(
-        cls,
-        omega_a: float,
-        omega_ex: float,
-        g_a: float,
-        g_b: float,
-        g_nl: float,
-        spectrum: PhononSpectrum,
-    ) -> "ModelParams":
-        """Construct with lam and shift derived from a phonon spectrum."""
-        return cls(omega_a=omega_a, omega_ex=omega_ex, g_a=g_a, g_b=g_b, g_nl=g_nl,
-                   lam=huang_rhys(spectrum), shift=polaron_shift(spectrum))
-
     @property
     def omega_b(self) -> float:
         return 2.0 * self.omega_a
-
-    def detunings(self) -> Detunings:
-        return detunings(self.omega_ex, self.omega_a, self.shift)
 
     def dressed_g_a(self) -> float:
         return dressed_coupling(self.g_a, self.lam)

@@ -210,24 +210,23 @@ def _sample_lattice(times, scale: float):
     return max(((s, on_lattice(s)) for s in spacings or [0.0]), key=lambda pair: pair[1].sum())
 
 
-def propagate(ham, psi0, times, components=None) -> np.ndarray:
+def propagate(ham, psi0, times, components) -> np.ndarray:
     """Evolve psi0 under a time-independent Hermitian matrix, one row per time.
 
     Spectral decomposition is done once; each time is a phase rotation in the
     eigenbasis, so the evolution is unitary to eigensolver accuracy and the
     norm of psi0 is preserved.  A real symmetric matrix takes the real
     eigensolver.  Only the basis components listed in `components` are
-    formed, in that order; None forms all of them.
+    formed, in that order; passing every index gives the full state.
 
     The phases are factorised over the uniform sample lattice: with block
     length B ~ sqrt(n), sample k = j*B + i sits at t0 + j*B*spacing +
     i*spacing, so exp(-iEt) is the product of a row of a B x dim table of
     in-block offsets and a row of a ceil(n/B) x dim table of block anchors.
-    About 2*sqrt(n)*dim exponentials replace n*dim.  With `components`, the
-    anchors are folded into the eigen-coefficients and component rows (a
-    dim x ceil(n/B)*len(components) array), so one matrix product gives
-    every sample; the full state is formed one block at a time, with
-    B x dim temporaries.  A sample off the lattice (irregular times, an
+    About 2*sqrt(n)*dim exponentials replace n*dim.  The anchors are folded
+    into the eigen-coefficients and component rows (a
+    dim x ceil(n/B)*len(components) temporary), so one matrix product gives
+    every sample.  A sample off the lattice (irregular times, an
     off-stride final sample, a phase that is not finite) gets its own
     exponentials instead, so it comes out as the per-sample formula gives
     it, non-finite where that is.
@@ -245,8 +244,7 @@ def propagate(ham, psi0, times, components=None) -> np.ndarray:
         ) from exc
     nz = np.flatnonzero(psi0)  # only psi0's nonzero entries: a real `vectors` stays real
     coeffs = vectors[nz].conj().T @ psi0[nz]
-    rows = vectors if components is None else vectors[components]
-    weights = coeffs[:, None] * rows.T  # dim x c: eigen-coefficient times component row
+    weights = coeffs[:, None] * vectors[components].T  # dim x c: coefficient times component row
 
     n = len(times)
     if n == 0:
@@ -256,17 +254,10 @@ def propagate(ham, psi0, times, components=None) -> np.ndarray:
     block = math.isqrt(n - 1) + 1
     offsets = np.exp(-1j * np.outer(np.arange(block) * spacing, energies))
     anchors = np.exp(-1j * np.outer(times[0] + np.arange(0, n, block) * spacing, energies))
-    if components is not None:
-        # anchors folded into the weights, dim x (blocks * c): one product for every sample
-        folded = (anchors.T[:, :, None] * weights[:, None, :]).reshape(len(energies), -1)
-        out = (offsets @ folded).reshape(block, len(anchors), -1).transpose(1, 0, 2)
-        out = out.reshape(-1, weights.shape[1])[:n]
-    else:
-        # the full state, one block at a time: temporaries stay block x dim
-        out = np.empty((n, weights.shape[1]), dtype=complex)
-        for anchor, start in zip(anchors, range(0, n, block)):
-            stop = min(start + block, n)
-            out[start:stop] = (offsets[:stop - start] * anchor) @ weights
+    # anchors folded into the weights, dim x (blocks * c): one product for every sample
+    folded = (anchors.T[:, :, None] * weights[:, None, :]).reshape(len(energies), -1)
+    out = (offsets @ folded).reshape(block, len(anchors), -1).transpose(1, 0, 2)
+    out = out.reshape(-1, weights.shape[1])[:n]
     off = np.flatnonzero(~on_lattice)
     for first in range(0, off.size, block):
         chunk = off[first:first + block]

@@ -12,7 +12,6 @@ from qdrabi import (
     ManifoldIndex,
     TimeGrid,
     TimeSeries,
-    excited_population,
     integrate,
     jc_baseline,
     nl_block_baseline,
@@ -254,6 +253,16 @@ class TestStepMatrixPropagator:
         assert got.value.t_last == want.value.t_last
         assert str(got.value) == str(want.value)
 
+    def test_step_past_stability_limit_raises(self):
+        # fig3 at step 1: RK4 is unstable, the norm grows ~1e9-fold but stays
+        # finite; t_last is the last sample at most twice the initial norm
+        spec = replace(preset_config("fig3"), step=1.0).to_dynamics_spec()
+        want = reference_integrate(spec)
+        first = int(np.flatnonzero(want.norm > 2.0 * want.norm[0])[0])
+        with pytest.raises(IntegrationDivergedError, match="RK4 stability limit") as got:
+            integrate(spec)
+        assert got.value.t_last == want.t[first - 1]
+
     def test_generator_is_covariant_under_time_shifts(self):
         # A(t) = R(t) A(0) R(t)^T, R(t) turning slot pairs by the rates the
         # propagator uses: a wrong entry in the rate table breaks this
@@ -278,23 +287,6 @@ class TestStepMatrixPropagator:
                 rot[2 * slot:2 * slot + 2, 2 * slot:2 * slot + 2] = ((c, -s), (s, c))
             residual = generator(t) - rot @ generator(0.0) @ rot.T
             assert np.abs(residual).max() <= 1e-14
-
-
-class TestExcitedPopulation:
-    def test_unit_excited(self):
-        assert excited_population(ManifoldAmplitudes.unit("d")) == 1.0
-
-    def test_zero(self):
-        assert excited_population(ManifoldAmplitudes.unit("a")) == 0.0
-
-    def test_complex_amplitude(self):
-        y = ManifoldAmplitudes(d1=0.6, d2=0.8)
-        assert excited_population(y) == pytest.approx(1.0, abs=1e-15)
-
-    def test_array_input(self):
-        arr = np.zeros(12)
-        arr[6], arr[7] = 0.6, 0.8
-        assert excited_population(arr) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestJcBaseline:

@@ -131,15 +131,9 @@ class TestModelParams:
 
     def test_from_detunings_round_trips(self):
         p = ModelParams.from_detunings(1.0, 1.0, 2.0, delta_a=1.0, delta_b=0.1, lam=0.01)
-        d = p.detunings()
+        d = detunings(p.omega_ex, p.omega_a, p.shift)
         assert d.delta_a == pytest.approx(1.0, abs=1e-14)
         assert d.delta_b == pytest.approx(0.1, abs=1e-14)
-
-    def test_from_spectrum(self):
-        s = spectrum((0.1, 1.0), (0.2, 2.0))
-        p = ModelParams.from_spectrum(1.0, 2.0, 1.0, 1.0, 0.5, s)
-        assert p.shift == pytest.approx(0.03, abs=1e-15)
-        assert p.lam == pytest.approx(0.01 + 0.01, abs=1e-15)
 
     def test_dressed_couplings(self):
         p = ModelParams.from_detunings(2.0, 3.0, 0.0, 1.0, 0.1, lam=1.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qdrabi
 from qdrabi import (
@@ -399,6 +399,19 @@ class TestSweep:
         assert entries["workers"] == str(min(workers, os.cpu_count() or 1))
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unstable_step_point_is_partial(self, tmp_path, workers):
+        text = FIG3_TEXT + "t_end = 10\n[sweep]\nparameter = step\nvalues = 0.01, 1\n"
+        outcome = run_sweep(parse_config(text), tmp_path / "sweep", workers=workers)
+        assert outcome.status == "partial"
+        entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
+        assert entries["point.point_000.status"] == "ok"
+        assert entries["point.point_001.status"] == "diverged"
+        assert "RK4 stability limit" in entries["point.point_001.error"]
+        verify_manifest(tmp_path / "sweep" / "manifest.txt")
+        verify_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
+
+
 class TestCli:
     def test_run_verb(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST)
@@ -517,6 +530,29 @@ class TestCli:
         assert "t_last" in entries
         assert not (tmp_path / "out" / "deviation.txt").exists()
         verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    @pytest.mark.parametrize("verb", ["run", "check"])
+    def test_step_past_stability_limit_exits_2(self, tmp_path, capsys, verb):
+        # fig3's RK4 norm at step 1 grows ~1e9-fold while every value stays finite
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "step = 1\n")
+        assert main([verb, cfg_path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        assert "RK4 stability limit" in capsys.readouterr().err
+        entries = parse_manifest(tmp_path / "out" / "manifest.txt")
+        assert entries["verb"] == verb
+        assert entries["status"] == "diverged"
+        assert entries["t_last"] == "2"
+        assert sorted(os.listdir(tmp_path / "out")) == ["manifest.txt"]
+        verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"g_nl = 2\n\xff\n")
+        assert main([verb, str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "UTF-8" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb, text", [
         ("run", FIG3_TEXT.replace("delta_a = 1", "delta_a = 1e10")
@@ -727,6 +763,10 @@ def cli_config(draw):
 class TestCliProperty:
     @settings(max_examples=60, deadline=None)
     @given(cli_config())
+    # one RK4 step far past the stability limit: a finite p2 of ~1e274 that
+    # overflowed in the signal estimate
+    @example((FIG3_TEXT + "step = 23805164097865171753420388860690433\nt_end = 0.5\n",
+              "[sweep]\nparameter = g_nl\nvalues = 2\n"))
     def test_no_traceback(self, texts):
         # any exception escaping main fails the test: every input ends in a
         # result, a config error or a numerical-failure status
