@@ -21,7 +21,6 @@ from .errors import (
     InvalidSpectrumError,
 )
 from .model import (
-    Detunings,
     MaterialConstants,
     ModelParams,
     PhononMode,
@@ -70,7 +69,7 @@ from .serialize import verify_manifest
 __all__ = [
     "__version__",
     "ConfigError", "GridMismatchError", "IntegrationDivergedError", "InvalidSpectrumError",
-    "Detunings", "MaterialConstants", "ModelParams", "PhononMode", "PhononSpectrum",
+    "MaterialConstants", "ModelParams", "PhononMode", "PhononSpectrum",
     "detunings", "dressed_coupling", "gnl_from_material", "huang_rhys", "polaron_shift",
     "DynamicsSpec", "ManifoldAmplitudes", "ManifoldIndex", "TimeGrid", "TimeSeries",
     "integrate", "jc_baseline", "nl_block_baseline", "rhs",

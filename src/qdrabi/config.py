@@ -25,7 +25,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from .dynamics import DynamicsSpec, ManifoldAmplitudes, ManifoldIndex, TimeGrid
 from .errors import ConfigError, InvalidSpectrumError
 from .model import (
-    Detunings,
     ModelParams,
     PhononSpectrum,
     detunings,
@@ -115,18 +114,23 @@ class RunConfig:
     def to_model_params(self) -> ModelParams:
         return ModelParams.from_detunings(
             g_a=self.g_a, g_b=self.g_b, g_nl=self.g_nl,
-            delta_a=self.delta_a, delta_b=self.delta_b,
-            lam=self.lam, shift=self.shift,
+            delta_a=self.delta_a, delta_b=self.delta_b, lam=self.lam,
         )
 
     def grid(self) -> TimeGrid:
         """The integration grid, with the sample stride that keeps about `samples` rows.
 
-        Raises ConfigError when the grid takes more than MAX_STEPS steps or
-        keeps more than MAX_ROWS samples.
+        Raises ConfigError when the window rounds to no step (it is at most
+        half the step), takes more than MAX_STEPS steps or keeps more than
+        MAX_ROWS samples.
         """
         grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=self.step)
         steps = (grid.t_end - grid.t_start) / grid.step  # may be inf, which n_steps() cannot round
+        if steps <= 0.5:  # round(steps) == 0
+            raise ConfigError(
+                f"window [{self.t_start:g}, {self.t_end:g}] is at most half the step "
+                f"{self.step:g}, so it takes no step"
+            )
         if steps > MAX_STEPS:
             raise ConfigError(
                 f"window [{self.t_start:g}, {self.t_end:g}] at step {self.step:g} takes "
@@ -148,7 +152,8 @@ class RunConfig:
             g_a_eff=dressed_coupling(self.g_a, self.lam),
             g_b_eff=dressed_coupling(self.g_b, self.lam),
             g_nl=self.g_nl,
-            detunings=Detunings(self.delta_a, self.delta_b),
+            delta_a=self.delta_a,
+            delta_b=self.delta_b,
             y0=ManifoldAmplitudes.unit(self.initial_slot()),
             grid=grid,
         )
@@ -307,29 +312,19 @@ def _collect(text: str):
 
 
 def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
-    has = lambda k: k in run
-
-    direct = has("delta_a") or has("delta_b") or "delta_a" in swept or "delta_b" in swept
-    via_omega = has("omega_a") or has("omega_ex")
-    if direct and via_omega:
-        key = "omega_a" if has("omega_a") else "omega_ex"
+    given = set(run) | swept  # keys set in [run] or by a sweep axis
+    via_omega = "omega_a" in given or "omega_ex" in given
+    if via_omega and ("delta_a" in given or "delta_b" in given):
+        key = "omega_a" if "omega_a" in given else "omega_ex"
         raise ConfigError(
             "give either detunings (delta_a, delta_b) or frequencies "
             "(omega_a, omega_ex), not both",
             line=run[key][1],
         )
 
-    missing = []
-    if not has("g_nl") and "g_nl" not in swept:
-        missing.append("g_nl")
-    if via_omega:
-        missing += [k for k in ("omega_a", "omega_ex") if not has(k)]
-    else:
-        missing += [
-            k for k in ("delta_a", "delta_b")
-            if not has(k) and k not in swept
-        ]
-    if not has("lambda") and not has("phonon_modes") and "lambda" not in swept:
+    required = ["g_nl"] + (["omega_a", "omega_ex"] if via_omega else ["delta_a", "delta_b"])
+    missing = [k for k in required if k not in given]
+    if "lambda" not in given and "phonon_modes" not in given:
         missing.append("lambda")
     if missing:
         raise ConfigError(
@@ -354,10 +349,14 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
     if values["t_end"] <= values["t_start"]:
         where = run.get("t_end", run.get("t_start", (None, None)))[1]
         raise ConfigError("t_end must be greater than t_start", line=where)
+    for key in ("cutoff_a", "cutoff_b"):
+        if key in run and values["oracle_mode"] != "full":
+            raise ConfigError(f"'{key}' needs oracle_mode = full; the restricted oracle "
+                              f"takes no cutoffs", line=run[key][1])
 
     spectrum_pairs: tuple = ()
     shift = 0.0
-    if has("phonon_modes"):
+    if "phonon_modes" in run:
         text, lineno = run["phonon_modes"]
         spectrum_pairs = _parse_modes(text, lineno)
         try:
@@ -372,7 +371,7 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
                 f"a polaron shift of {fmt(shift)}; both must be finite",
                 line=lineno,
             )
-        if has("lambda"):
+        if "lambda" in run:
             warnings.warn(
                 "both lambda and phonon_modes given; using the direct lambda "
                 f"({fmt(values['lam'])}) over the spectrum-derived value "
@@ -385,8 +384,7 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
     if via_omega:
         omega_a = _parse_float("omega_a", *run["omega_a"])
         omega_ex = _parse_float("omega_ex", *run["omega_ex"])
-        dets = detunings(omega_ex, omega_a, shift)
-        values["delta_a"], values["delta_b"] = dets.delta_a, dets.delta_b
+        values["delta_a"], values["delta_b"] = detunings(omega_ex, omega_a, shift)
 
     return RunConfig(shift=shift, phonon_modes=spectrum_pairs, defaulted=tuple(defaulted),
                      **values)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .model import Detunings
 
 __all__ = [
     "ManifoldIndex",
@@ -159,14 +158,16 @@ class DynamicsSpec:
     """Everything the integrator needs for one trajectory.
 
     Couplings g_a_eff and g_b_eff are already dressed by exp(-lam/2); the
-    nonlinear coupling is undressed by construction.
+    nonlinear coupling is undressed by construction.  delta_a and delta_b
+    are the shifted exciton's detunings from the two modes.
     """
 
     index: ManifoldIndex
     g_a_eff: float
     g_b_eff: float
     g_nl: float
-    detunings: Detunings
+    delta_a: float
+    delta_b: float
     y0: ManifoldAmplitudes
     grid: TimeGrid
 
@@ -183,7 +184,7 @@ class DynamicsSpec:
         ga = self.g_a_eff * math.sqrt(m + 1)
         gb = self.g_b_eff * math.sqrt(n + 1)
         gk = self.g_nl * self.index.root_factor()
-        return ga, gb, gk, self.detunings.delta_a, self.detunings.delta_b
+        return ga, gb, gk, self.delta_a, self.delta_b
 
 
 def _derivs(t, y, ga, gb, gk, da, db):

@@ -17,7 +17,6 @@ __all__ = [
     "PhononMode",
     "PhononSpectrum",
     "ModelParams",
-    "Detunings",
     "MaterialConstants",
     "polaron_shift",
     "huang_rhys",
@@ -81,33 +80,23 @@ def dressed_coupling(g: float, lam: float) -> float:
     return g * math.exp(-0.5 * lam)
 
 
-@dataclass(frozen=True)
-class Detunings:
-    """Detunings of the shifted exciton from the fundamental mode and its second harmonic."""
+def detunings(omega_ex: float, omega_a: float, shift: float = 0.0) -> tuple[float, float]:
+    """(delta_a, delta_b): the shifted exciton's detunings from the fundamental and its harmonic.
 
-    delta_a: float
-    delta_b: float
-
-
-def detunings(omega_ex: float, omega_a: float, shift: float = 0.0) -> Detunings:
-    """delta_a = omega_ex - omega_a - shift, delta_b = omega_ex - 2*omega_a - shift.
-
-    The difference delta_a - delta_b equals omega_a to machine precision.
+    delta_a = omega_ex - omega_a - shift and delta_b = omega_ex - 2*omega_a - shift;
+    their difference equals omega_a to machine precision.
     """
-    return Detunings(
-        delta_a=omega_ex - omega_a - shift,
-        delta_b=omega_ex - 2.0 * omega_a - shift,
-    )
+    return omega_ex - omega_a - shift, omega_ex - 2.0 * omega_a - shift
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """All frequencies and couplings of the coupled dot-cavity system.
 
-    omega_b is the property 2*omega_a (doubly resonant cavity); `shift` is the
-    phonon-induced renormalization subtracted from omega_ex.  Frequencies may
-    be negative: the detuning-first construction (`from_detunings`) places no
-    sign constraint on the implied mode frequency.
+    omega_b is the property 2*omega_a (doubly resonant cavity); omega_ex is
+    the exciton frequency after the phonon-induced polaron shift.  Frequencies
+    may be negative: the detuning-first construction (`from_detunings`) places
+    no sign constraint on the implied mode frequency.
     """
 
     omega_a: float
@@ -116,7 +105,6 @@ class ModelParams:
     g_b: float
     g_nl: float
     lam: float = 0.0
-    shift: float = 0.0
 
     def __post_init__(self):
         if self.lam < 0.0:
@@ -131,17 +119,14 @@ class ModelParams:
         delta_a: float,
         delta_b: float,
         lam: float = 0.0,
-        shift: float = 0.0,
     ) -> "ModelParams":
         """Construct from the detunings the figure captions parameterize by.
 
-        Inverts the detuning definitions: omega_a = delta_a - delta_b and
-        omega_ex = 2*delta_a - delta_b + shift.
+        Inverts the detuning definitions: omega_a = delta_a - delta_b and the
+        shifted omega_ex = 2*delta_a - delta_b.
         """
-        omega_a = delta_a - delta_b
-        omega_ex = 2.0 * delta_a - delta_b + shift
-        return cls(omega_a=omega_a, omega_ex=omega_ex, g_a=g_a, g_b=g_b,
-                   g_nl=g_nl, lam=lam, shift=shift)
+        return cls(omega_a=delta_a - delta_b, omega_ex=2.0 * delta_a - delta_b, g_a=g_a,
+                   g_b=g_b, g_nl=g_nl, lam=lam)
 
     @property
     def omega_b(self) -> float:

@@ -20,9 +20,9 @@ exponentials, to rounding.
 Both modes assemble the matrix from the same ladder-operator elements on an
 explicit list of basis states.  Restricted mode works on the six manifold
 states alone, reproducing the truncation behind the amplitude equations
-exactly; its cutoffs are only validated.  Full mode takes every state the
-cutoffs allow, so the probability that leaks out of the manifold measures
-the truncation error.
+exactly, and takes no cutoffs.  Full mode takes every state the cutoffs
+allow, so the probability that leaks out of the manifold measures the
+truncation error.
 """
 
 from __future__ import annotations
@@ -102,30 +102,24 @@ def manifold_states(index: ManifoldIndex) -> tuple[BasisState, ...]:
     )
 
 
-def resolve_cutoffs(index: ManifoldIndex, mode: str, n_a: int | None = None,
+def resolve_cutoffs(index: ManifoldIndex, n_a: int | None = None,
                     n_b: int | None = None) -> tuple[int, int]:
-    """The photon cutoffs (n_a, n_b) for the mode around `index`, checked.
+    """The full-mode photon cutoffs (n_a, n_b) around `index`, checked.
 
-    Cutoffs must contain the manifold (n_a >= m+2, n_b >= n+1); full mode
-    also demands two quanta of headroom in each mode and caps the cutoffs at
-    MAX_FULL_CUTOFF.  A None cutoff takes the smallest value the containment
-    and headroom rules allow.  Raises ConfigError for cutoffs that break a rule.
+    The cutoffs must leave two quanta of headroom beyond the manifold in each
+    mode (n_a >= m+4, n_b >= n+3) and are capped at MAX_FULL_CUTOFF.  A None
+    cutoff takes the smallest value the headroom allows.  Raises ConfigError
+    for cutoffs that break a rule.
     """
-    need_a, need_b = index.m + 2, index.n + 1
-    margin = 2 if mode == "full" else 0
-    n_a = need_a + margin if n_a is None else n_a
-    n_b = need_b + margin if n_b is None else n_b
+    need_a, need_b = index.m + 4, index.n + 3
+    n_a = need_a if n_a is None else n_a
+    n_b = need_b if n_b is None else n_b
     if n_a < need_a or n_b < need_b:
         raise ConfigError(
-            f"cutoffs ({n_a}, {n_b}) cannot contain the (m={index.m}, n={index.n}) "
-            f"manifold; need at least ({need_a}, {need_b})"
-        )
-    if n_a < need_a + margin or n_b < need_b + margin:
-        raise ConfigError(
             f"full mode needs two quanta of headroom beyond the manifold: "
-            f"cutoffs ({n_a}, {n_b}) < ({need_a + margin}, {need_b + margin})"
+            f"cutoffs ({n_a}, {n_b}) < ({need_a}, {need_b})"
         )
-    if mode == "full" and (n_a > MAX_FULL_CUTOFF or n_b > MAX_FULL_CUTOFF):
+    if n_a > MAX_FULL_CUTOFF or n_b > MAX_FULL_CUTOFF:
         raise ConfigError(
             f"full-mode cutoffs are capped at {MAX_FULL_CUTOFF}, got ({n_a}, {n_b})"
         )
@@ -142,8 +136,7 @@ class FockOperatorMatrix:
 
 def _free_energies(params: ModelParams, states) -> np.ndarray:
     """Diagonal of the uncoupled Hamiltonian; the shifted exciton level sits on s=2 only."""
-    level = params.omega_ex - params.shift
-    return np.array([params.omega_a * st.m + params.omega_b * st.n + level * (st.s - 1)
+    return np.array([params.omega_a * st.m + params.omega_b * st.n + params.omega_ex * (st.s - 1)
                      for st in states])
 
 
@@ -156,19 +149,19 @@ def build_hamiltonian(
 ) -> FockOperatorMatrix:
     """Assemble the transformed Hamiltonian with the phonon operator at its mean exp(-lam/2).
 
-    The cutoffs go through resolve_cutoffs, so None takes the smallest valid
-    one.  Full mode works on basis_states(n_a, n_b), restricted mode on the
-    six manifold_states(index) in amplitude order, so its matrix is the 6x6
-    manifold block of the full one.  Free energies, dressed couplings and ladder square roots are all
-    real, so the matrix is float64 and exactly symmetric by construction.
+    Full mode works on basis_states(n_a, n_b), with the cutoffs checked by
+    resolve_cutoffs, so None takes the smallest valid one.  Restricted mode
+    ignores the cutoffs and works on the six manifold_states(index) in
+    amplitude order, so its matrix is the 6x6 manifold block of the full one.
+    Free energies, dressed couplings and ladder square roots are all real, so
+    the matrix is float64 and exactly symmetric by construction.
     """
-    if mode not in ("restricted", "full"):
-        raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
-    n_a, n_b = resolve_cutoffs(index, mode, n_a, n_b)
     if mode == "full":
-        states = basis_states(n_a, n_b)
-    else:
+        states = basis_states(*resolve_cutoffs(index, n_a, n_b))
+    elif mode == "restricted":
         states = list(manifold_states(index))
+    else:
+        raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
 
     position = {(st.s, st.m, st.n): i for i, st in enumerate(states)}
     ham = np.diag(_free_energies(params, states))

@@ -66,10 +66,10 @@ def _param_entries(config: RunConfig) -> list[tuple[str, object]]:
 
 
 def _cutoffs(config: RunConfig):
-    """The oracle's checked (n_a, n_b), configured or default; None when the oracle is off."""
-    if not config.oracle:
+    """The full-mode oracle's checked (n_a, n_b), configured or default; else None."""
+    if not (config.oracle and config.oracle_mode == "full"):
         return None
-    return resolve_cutoffs(config.index(), config.oracle_mode, config.cutoff_a, config.cutoff_b)
+    return resolve_cutoffs(config.index(), config.cutoff_a, config.cutoff_b)
 
 
 def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: Path,
@@ -95,10 +95,10 @@ def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: 
                  f"{fmt(ORACLE_TOLERANCE)}")
     else:
         error = None
-    lines = [
-        f"mode = {mode}",
-        f"cutoff_a = {cutoffs[0]}",
-        f"cutoff_b = {cutoffs[1]}",
+    lines = [f"mode = {mode}"]
+    if cutoffs is not None:
+        lines += [f"cutoff_a = {cutoffs[0]}", f"cutoff_b = {cutoffs[1]}"]
+    lines += [
         f"tolerance = {fmt(ORACLE_TOLERANCE)}",
         f"max_deviation = {fmt(deviation)}",
         f"max_leakage = {fmt(leakage)}",
@@ -144,7 +144,7 @@ def run_single(
             files["resolved_config.txt"] = write_lines(out_dir / "resolved_config.txt",
                                                        write_config(config).splitlines())
             phases["write"] = time.perf_counter() - mark
-        if cutoffs is not None:
+        if config.oracle:
             mark = time.perf_counter()
             deviation, leakage, error, extra = _oracle_report(
                 config, series, spec.y0, cutoffs, out_dir, dump_hamiltonian)

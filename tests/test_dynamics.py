@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qdrabi import (
-    Detunings,
     DynamicsSpec,
     IntegrationDivergedError,
     ManifoldAmplitudes,
@@ -32,7 +31,8 @@ def make_spec(g_a=1.0, g_b=1.0, g_nl=0.0, delta_a=0.0, delta_b=0.0, lam=0.0,
         g_a_eff=g_a * dressing,
         g_b_eff=g_b * dressing,
         g_nl=g_nl,
-        detunings=Detunings(delta_a, delta_b),
+        delta_a=delta_a,
+        delta_b=delta_b,
         y0=y0,
         grid=TimeGrid(0.0, t_end, step, sample_every),
     )
@@ -53,7 +53,7 @@ def complex_rhs(t, y, spec):
     big_k = spec.g_nl * math.sqrt((n + 1) * (m + 1) * (m + 2))
     ga = spec.g_a_eff * math.sqrt(m + 1)
     gb = spec.g_b_eff * math.sqrt(n + 1)
-    da, db = spec.detunings.delta_a, spec.detunings.delta_b
+    da, db = spec.delta_a, spec.delta_b
     a, b, c, d, e, f = (complex(y[2 * k], y[2 * k + 1]) for k in range(6))
     da_phase = complex(math.cos(da * t), math.sin(da * t))
     db_phase = complex(math.cos(db * t), math.sin(db * t))
@@ -136,7 +136,7 @@ class TestIntegrate:
         forward = integrate(spec)
         back_spec = DynamicsSpec(
             index=spec.index, g_a_eff=spec.g_a_eff, g_b_eff=spec.g_b_eff, g_nl=spec.g_nl,
-            detunings=spec.detunings,
+            delta_a=spec.delta_a, delta_b=spec.delta_b,
             y0=ManifoldAmplitudes.from_array(forward.amplitudes[-1]),
             grid=TimeGrid(20.0, 0.0, -1e-3, 10),
         )

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdrabi import (
-    Detunings,
     InvalidSpectrumError,
     MaterialConstants,
     ModelParams,
@@ -94,25 +93,22 @@ class TestDressedCoupling:
 
 class TestDetunings:
     def test_direct_substitution(self):
-        d = detunings(3.0, 1.0, 0.0)
-        assert d == Detunings(2.0, 1.0)
+        assert detunings(3.0, 1.0, 0.0) == (2.0, 1.0)
 
     def test_resonant_with_fundamental(self):
-        d = detunings(1.0, 1.0, 0.0)
-        assert d.delta_a == 0.0
-        assert d.delta_b == -1.0
+        assert detunings(1.0, 1.0, 0.0) == (0.0, -1.0)
 
     def test_shifted_working_point(self):
         # lands on the delta_b = 0.1 operating point
-        d = detunings(2.11, 1.0, 0.01)
-        assert d.delta_a == pytest.approx(1.1, abs=1e-12)
-        assert d.delta_b == pytest.approx(0.1, abs=1e-12)
+        delta_a, delta_b = detunings(2.11, 1.0, 0.01)
+        assert delta_a == pytest.approx(1.1, abs=1e-12)
+        assert delta_b == pytest.approx(0.1, abs=1e-12)
 
     @given(finite, finite, finite)
     def test_difference_equals_omega_a(self, omega_ex, omega_a, shift):
-        d = detunings(omega_ex, omega_a, shift)
+        delta_a, delta_b = detunings(omega_ex, omega_a, shift)
         scale = max(1.0, abs(omega_ex), 2.0 * abs(omega_a), abs(shift))
-        assert abs((d.delta_a - d.delta_b) - omega_a) <= 8e-16 * scale
+        assert abs((delta_a - delta_b) - omega_a) <= 8e-16 * scale
 
 
 class TestModelParams:
@@ -131,9 +127,9 @@ class TestModelParams:
 
     def test_from_detunings_round_trips(self):
         p = ModelParams.from_detunings(1.0, 1.0, 2.0, delta_a=1.0, delta_b=0.1, lam=0.01)
-        d = detunings(p.omega_ex, p.omega_a, p.shift)
-        assert d.delta_a == pytest.approx(1.0, abs=1e-14)
-        assert d.delta_b == pytest.approx(0.1, abs=1e-14)
+        delta_a, delta_b = detunings(p.omega_ex, p.omega_a)
+        assert delta_a == pytest.approx(1.0, abs=1e-14)
+        assert delta_b == pytest.approx(0.1, abs=1e-14)
 
     def test_dressed_couplings(self):
         p = ModelParams.from_detunings(2.0, 3.0, 0.0, 1.0, 0.1, lam=1.0)

@@ -49,14 +49,14 @@ class TestBasis:
 
 class TestBuildHamiltonian:
     def test_zero_couplings_diagonal(self):
-        p = ModelParams(omega_a=0.9, omega_ex=1.9, g_a=0, g_b=0, g_nl=0, shift=0.2)
+        p = ModelParams(omega_a=0.9, omega_ex=1.7, g_a=0, g_b=0, g_nl=0)
         ham = build_hamiltonian(p, 4, 3).matrix
         assert not np.abs(ham - np.diag(np.diag(ham))).any()
         # |1,m,n> -> omega_a*m + omega_b*n; |2,m,n> adds the shifted exciton level
         assert ham[basis_index(1, 2, 1, 4, 3)][basis_index(1, 2, 1, 4, 3)] == \
             pytest.approx(0.9 * 2 + 1.8, rel=1e-15)
         assert ham[basis_index(2, 0, 0, 4, 3)][basis_index(2, 0, 0, 4, 3)] == \
-            pytest.approx(1.9 - 0.2, rel=1e-15)
+            pytest.approx(1.7, rel=1e-15)
 
     def test_restricted_nonlinear_pairs(self):
         # with only g_nl, the vacuum manifold carries exactly one coupled
@@ -75,7 +75,7 @@ class TestBuildHamiltonian:
     def test_restricted_is_manifold_block_of_full(self, m, n):
         p = params(g_a=1.2, g_b=0.5, g_nl=0.8, lam=0.3)
         index = ManifoldIndex(m, n)
-        n_a, n_b = resolve_cutoffs(index, "full")
+        n_a, n_b = resolve_cutoffs(index)
         full = build_hamiltonian(p, n_a, n_b, mode="full", index=index).matrix
         slots = [basis_index(st.s, st.m, st.n, n_a, n_b) for st in manifold_states(index)]
         restricted = build_hamiltonian(p, n_a, n_b, mode="restricted", index=index).matrix
@@ -93,10 +93,6 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(p, 4, 3, mode="restricted").matrix
         assert np.array_equal(ham, ham.conj().T)
 
-    def test_cutoff_must_contain_manifold(self):
-        with pytest.raises(ConfigError, match="manifold"):
-            build_hamiltonian(params(), 1, 1, mode="restricted")
-
     def test_full_mode_needs_headroom(self):
         with pytest.raises(ConfigError, match="headroom"):
             build_hamiltonian(params(), 2, 1, mode="full")
@@ -110,20 +106,19 @@ class TestBuildHamiltonian:
             build_hamiltonian(params(), 3, 2, mode="exact")
 
     def test_resolve_cutoffs_defaults(self):
-        assert resolve_cutoffs(ManifoldIndex(0, 0), "restricted") == (2, 1)
-        assert resolve_cutoffs(ManifoldIndex(0, 0), "full") == (4, 3)
-        assert resolve_cutoffs(ManifoldIndex(2, 1), "full") == (6, 4)
+        assert resolve_cutoffs(ManifoldIndex(0, 0)) == (4, 3)
+        assert resolve_cutoffs(ManifoldIndex(2, 1)) == (6, 4)
 
     def test_resolve_cutoffs_defaults_each_field_alone(self):
-        assert resolve_cutoffs(ManifoldIndex(), "full", 10, None) == (10, 3)
-        assert resolve_cutoffs(ManifoldIndex(), "full", None, 7) == (4, 7)
-        assert resolve_cutoffs(ManifoldIndex(1, 2), "restricted", None, 5) == (3, 5)
+        assert resolve_cutoffs(ManifoldIndex(), 10, None) == (10, 3)
+        assert resolve_cutoffs(ManifoldIndex(), None, 7) == (4, 7)
+        assert resolve_cutoffs(ManifoldIndex(1, 2), None, 6) == (5, 6)
 
     def test_resolve_cutoffs_checks_a_defaulted_pair(self):
         with pytest.raises(ConfigError, match="headroom"):
-            resolve_cutoffs(ManifoldIndex(), "full", 3, None)
+            resolve_cutoffs(ManifoldIndex(), 3, None)
         with pytest.raises(ConfigError, match="capped"):
-            resolve_cutoffs(ManifoldIndex(15, 0), "full")
+            resolve_cutoffs(ManifoldIndex(15, 0))
 
     @pytest.mark.parametrize("mode, cutoffs", [("full", (4, 3)), ("restricted", (2, 1))],
                              ids=["full", "restricted"])

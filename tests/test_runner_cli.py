@@ -65,7 +65,7 @@ class TestRunSingle:
 
     def test_manifest_param_keys_in_order(self, tmp_path):
         cfg = parse_config(FIG3_TEXT.replace("lambda = 0.01\n", "phonon_modes = 0.1:1, 0.05:2\n")
-                           + FAST + "cutoff_a = 5\n")
+                           + FAST + "oracle_mode = full\ncutoff_a = 5\n")
         run_single(override(cfg, step=0.02), tmp_path / "out")
         entries = parse_manifest(tmp_path / "out" / "manifest.txt")
         keys = [k for k in entries if k.startswith("param.") or k == "defaulted"]
@@ -77,7 +77,7 @@ class TestRunSingle:
         ]
         assert entries["param.step"] == "0.02"
         assert entries["defaulted"] == \
-            "g_a, g_b, m, n, initial, t_start, oracle, oracle_mode, cutoff_b"
+            "g_a, g_b, m, n, initial, t_start, oracle, cutoff_b"
 
     def test_manifest_records_grid(self, tmp_path):
         # 0.3 does not divide 25: the last sample lands at 83 * 0.3, short of t_end
@@ -191,7 +191,9 @@ class TestOracleCheck:
     def test_nonfinite_oracle_result_exits_3(self, tmp_path, capsys, mode):
         # the detuning is finite, but the oracle's phases overflow to nan
         text = (FIG3_TEXT.replace("delta_a = 1", "delta_a = 6e307") + "t_end = 1\n"
-                f"cutoff_a = 16\ncutoff_b = 16\noracle_mode = {mode}\n")
+                f"oracle_mode = {mode}\n")
+        if mode == "full":
+            text += "cutoff_a = 16\ncutoff_b = 16\n"
         cfg_path = write(tmp_path / "run.cfg", text)
         out = tmp_path / "out"
         code = main(["check", cfg_path, "--out", str(out)])
@@ -204,15 +206,31 @@ class TestOracleCheck:
         assert entries["status"] == "oracle-mismatch"
         assert entries["error"] == "oracle deviation nan is not finite"
 
-    def test_restricted_cutoffs_only_validated(self, tmp_path):
-        # restricted cost does not grow with the cutoffs
+    @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
+    @pytest.mark.parametrize("key, mode", [("cutoff_a", ""), ("cutoff_b", ""),
+                                           ("cutoff_a", "oracle_mode = restricted\n")],
+                             ids=["cutoff_a", "cutoff_b", "cutoff_a-restricted"])
+    def test_cutoffs_without_full_mode_exit_1(self, tmp_path, capsys, verb, key, mode):
+        # the restricted oracle works on the six manifold states and takes no cutoffs
+        sweep = "[sweep]\nparameter = g_nl\nvalues = 1, 2\n" if verb == "sweep" else ""
         cfg_path = write(tmp_path / "run.cfg",
-                         FIG3_TEXT + FAST_CHECK + "cutoff_a = 400\ncutoff_b = 400\n")
+                         FIG3_TEXT + FAST_CHECK + mode + f"{key} = 4\n" + sweep)
+        out = tmp_path / "out"
+        assert main([verb, cfg_path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        line = len((FIG3_TEXT + FAST_CHECK + mode).splitlines()) + 1
+        assert f"config error: line {line}: '{key}' needs oracle_mode = full" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_restricted_report_has_no_cutoffs(self, tmp_path):
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
         out = tmp_path / "out"
         assert main(["check", cfg_path, "--out", str(out), "--dump-hamiltonian"]) == EXIT_OK
         assert len((out / "hamiltonian.txt").read_text().splitlines()) == 6
         report = parse_manifest(out / "deviation.txt")
-        assert (report["cutoff_a"], report["cutoff_b"]) == ("400", "400")
+        assert list(report) == ["mode", "tolerance", "max_deviation", "max_leakage", "status"]
+        assert report["mode"] == "restricted"
 
 
 class TestSweep:
@@ -556,8 +574,8 @@ class TestCli:
 
     @pytest.mark.parametrize("verb, text", [
         ("run", FIG3_TEXT.replace("delta_a = 1", "delta_a = 1e10")
-         + "t_end = 0.5\nstep = 1e300\n"),
-        ("sweep", FIG3_TEXT + "t_end = 0.5\n[sweep]\nparameter = step\nvalues = 1e308\n"
+         + "t_end = 1e300\nstep = 1e300\n"),
+        ("sweep", FIG3_TEXT + "t_end = 1e308\n[sweep]\nparameter = step\nvalues = 1e308\n"
          "parameter2 = delta_b\nvalues2 = 458810260424\n"),
     ], ids=["run", "sweep"])
     def test_overflowing_step_phase_exits_2(self, tmp_path, capsys, verb, text):
@@ -613,6 +631,21 @@ class TestCli:
         assert not out.exists()  # rejected before any work started
 
     @pytest.mark.parametrize("verb, text", [
+        ("run", "g_nl = 0\ng_a = 0\ng_b = 0\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0\n"
+         "t_end = 0.5\nstep = 100\n"),
+        ("sweep", FIG3_TEXT + "t_end = 0.5\n[sweep]\nparameter = step\nvalues = 0.01, 100\n"),
+    ], ids=["run", "swept-step"])
+    def test_window_shorter_than_half_a_step_exits_1(self, tmp_path, capsys, verb, text):
+        # rounding would take one whole step, far past t_end
+        cfg_path = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "out"
+        assert main([verb, cfg_path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: window [0, 0.5] is at most half the step 100" in err
+        assert "Traceback" not in err
+        assert not out.exists()  # rejected before any work started
+
+    @pytest.mark.parametrize("verb, text", [
         ("run", FIG3_TEXT + "step = 1e-5\nsamples = 1000000000\n"),
         ("check", FIG3_TEXT + "step = 1e-5\nsamples = 1000000000\n"),
         ("sweep", FIG3_TEXT + "samples = 1000000000\n"
@@ -658,8 +691,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("verb, text, flags", [
-        ("run", FIG3_TEXT + FAST + "oracle = true\ncutoff_a = 1\n", []),
-        ("sweep", FIG3_TEXT + FAST + "oracle = true\ncutoff_a = 4\n"
+        ("run", FIG3_TEXT + FAST + "oracle = true\noracle_mode = full\ncutoff_a = 1\n", []),
+        ("sweep", FIG3_TEXT + FAST + "oracle = true\noracle_mode = full\ncutoff_a = 4\n"
          "[sweep]\nparameter = m\nvalues = 0, 5\n", []),
         ("sweep", FIG3_TEXT + FAST + "oracle_mode = full\n"
          "[sweep]\nparameter = m\nvalues = 0, 14\n", ["--oracle"]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdrabi import integrate, parse_config, preset_config
 from qdrabi.cli import EXIT_OK, main
-from qdrabi.oracle import build_hamiltonian, resolve_cutoffs
+from qdrabi.oracle import build_hamiltonian
 from qdrabi.serialize import (
     _BLOCK_VALUES,
     CSV_HEADER,
@@ -349,8 +349,7 @@ class TestByteIdentity:
             argv = ["check", str(cfg_path), "--out", str(tmp_path / name), "--dump-hamiltonian"]
             assert main(argv) == EXIT_OK
         cfg = parse_config(text)
-        ham = build_hamiltonian(cfg.to_model_params(), *resolve_cutoffs(cfg.index(), mode),
-                                mode=mode, index=cfg.index())
+        ham = build_hamiltonian(cfg.to_model_params(), mode=mode, index=cfg.index())
         assert (tmp_path / "first" / "hamiltonian.txt").read_bytes() == \
             reference_matrix_txt(ham.matrix).encode()
         assert file_digests(tmp_path / "first") == file_digests(tmp_path / "rerun")
