@@ -28,7 +28,6 @@ from .model import (
     ModelParams,
     PhononSpectrum,
     detunings,
-    dressed_coupling,
     huang_rhys,
     polaron_shift,
 )
@@ -112,10 +111,8 @@ class RunConfig:
         return ManifoldIndex(self.m, self.n)
 
     def to_model_params(self) -> ModelParams:
-        return ModelParams.from_detunings(
-            g_a=self.g_a, g_b=self.g_b, g_nl=self.g_nl,
-            delta_a=self.delta_a, delta_b=self.delta_b, lam=self.lam,
-        )
+        return ModelParams(g_a=self.g_a, g_b=self.g_b, g_nl=self.g_nl,
+                           delta_a=self.delta_a, delta_b=self.delta_b, lam=self.lam)
 
     def grid(self) -> TimeGrid:
         """The integration grid, with the sample stride that keeps about `samples` rows.
@@ -124,13 +121,11 @@ class RunConfig:
         half the step), takes more than MAX_STEPS steps or keeps more than
         MAX_ROWS samples.
         """
-        grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=self.step)
+        try:
+            grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=self.step)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         steps = (grid.t_end - grid.t_start) / grid.step  # may be inf, which n_steps() cannot round
-        if steps <= 0.5:  # round(steps) == 0
-            raise ConfigError(
-                f"window [{self.t_start:g}, {self.t_end:g}] is at most half the step "
-                f"{self.step:g}, so it takes no step"
-            )
         if steps > MAX_STEPS:
             raise ConfigError(
                 f"window [{self.t_start:g}, {self.t_end:g}] at step {self.step:g} takes "
@@ -146,17 +141,8 @@ class RunConfig:
 
     def to_dynamics_spec(self) -> DynamicsSpec:
         """Build the integrator spec on `grid()`; the detunings enter exactly as configured."""
-        grid = self.grid()
-        return DynamicsSpec(
-            index=self.index(),
-            g_a_eff=dressed_coupling(self.g_a, self.lam),
-            g_b_eff=dressed_coupling(self.g_b, self.lam),
-            g_nl=self.g_nl,
-            delta_a=self.delta_a,
-            delta_b=self.delta_b,
-            y0=ManifoldAmplitudes.unit(self.initial_slot()),
-            grid=grid,
-        )
+        return DynamicsSpec(params=self.to_model_params(), index=self.index(),
+                            y0=ManifoldAmplitudes.unit(self.initial_slot()), grid=self.grid())
 
 
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}

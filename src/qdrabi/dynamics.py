@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationDivergedError
+from .model import ModelParams, dressed_coupling
 
 __all__ = [
     "ManifoldIndex",
@@ -121,7 +122,8 @@ class TimeGrid:
 
     Samples are emitted every `sample_every` steps (step 0 included); the
     final step is always emitted.  `step` may be negative for backward
-    integration provided t_end lies on that side of t_start.
+    integration provided t_end lies on that side of t_start.  The window
+    rounds to at least one step: one of at most half a step is rejected.
     """
 
     t_start: float = 0.0
@@ -132,16 +134,16 @@ class TimeGrid:
     def __post_init__(self):
         if self.step == 0.0 or not math.isfinite(self.step):
             raise ValueError(f"step must be finite and nonzero, got {self.step!r}")
-        if (self.t_end - self.t_start) / self.step <= 0.0:
+        if (self.t_end - self.t_start) / self.step <= 0.5:  # round() gives no step
             raise ValueError(
-                f"time window [{self.t_start}, {self.t_end}] is inconsistent "
-                f"with step {self.step}"
+                f"window [{self.t_start:g}, {self.t_end:g}] is at most half the step "
+                f"{self.step:g}, so it takes no step"
             )
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
 
     def n_steps(self) -> int:
-        return max(1, int(round((self.t_end - self.t_start) / self.step)))
+        return int(round((self.t_end - self.t_start) / self.step))
 
     def n_samples(self) -> int:
         """Samples kept: step 0, every `sample_every`-th step, and the final step."""
@@ -155,19 +157,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    """Everything the integrator needs for one trajectory.
+    """Everything the integrator needs for one trajectory."""
 
-    Couplings g_a_eff and g_b_eff are already dressed by exp(-lam/2); the
-    nonlinear coupling is undressed by construction.  delta_a and delta_b
-    are the shifted exciton's detunings from the two modes.
-    """
-
+    params: ModelParams
     index: ManifoldIndex
-    g_a_eff: float
-    g_b_eff: float
-    g_nl: float
-    delta_a: float
-    delta_b: float
     y0: ManifoldAmplitudes
     grid: TimeGrid
 
@@ -179,12 +172,16 @@ class DynamicsSpec:
         return replace(self, grid=replace(self.grid, **changes))
 
     def coefficients(self) -> tuple[float, float, float, float, float]:
-        """(ga, gb, gk, da, db) with photon-number factors folded in."""
-        m, n = self.index.m, self.index.n
-        ga = self.g_a_eff * math.sqrt(m + 1)
-        gb = self.g_b_eff * math.sqrt(n + 1)
-        gk = self.g_nl * self.index.root_factor()
-        return ga, gb, gk, self.delta_a, self.delta_b
+        """(ga, gb, gk, da, db) with photon-number factors folded in.
+
+        ga and gb are dressed by exp(-lam/2); the nonlinear gk is undressed by
+        construction.  da and db are the detunings as the params give them.
+        """
+        p = self.params
+        ga = p.dressed_g_a() * math.sqrt(self.index.m + 1)
+        gb = p.dressed_g_b() * math.sqrt(self.index.n + 1)
+        gk = p.g_nl * self.index.root_factor()
+        return ga, gb, gk, p.delta_a, p.delta_b
 
 
 def _derivs(t, y, ga, gb, gk, da, db):
@@ -390,8 +387,6 @@ def jc_baseline(t, g: float, lam: float = 0.0, delta: float = 0.0, m: int = 0):
     """
     if g < 0.0:
         raise ValueError(f"coupling must be >= 0, got {g!r}")
-    from .model import dressed_coupling
-
     geff = dressed_coupling(g, lam) * math.sqrt(m + 1)
     omega_sq = delta * delta + 4.0 * geff * geff
     if omega_sq == 0.0:

@@ -91,46 +91,37 @@ def detunings(omega_ex: float, omega_a: float, shift: float = 0.0) -> tuple[floa
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All frequencies and couplings of the coupled dot-cavity system.
+    """The couplings and detunings of the coupled dot-cavity system, as the captions give them.
 
-    omega_b is the property 2*omega_a (doubly resonant cavity); omega_ex is
-    the exciton frequency after the phonon-induced polaron shift.  Frequencies
-    may be negative: the detuning-first construction (`from_detunings`) places
-    no sign constraint on the implied mode frequency.
+    delta_a and delta_b are the shifted exciton's detunings from the
+    fundamental and its harmonic.  The frequencies follow from them:
+    omega_a = delta_a - delta_b, omega_b = 2*omega_a (doubly resonant
+    cavity) and the shifted exciton omega_ex = 2*delta_a - delta_b.  They
+    may be negative: the detunings place no sign constraint on them.
     """
 
-    omega_a: float
-    omega_ex: float
     g_a: float
     g_b: float
     g_nl: float
+    delta_a: float
+    delta_b: float
     lam: float = 0.0
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ValueError(f"Huang-Rhys factor must be >= 0, got {self.lam!r}")
 
-    @classmethod
-    def from_detunings(
-        cls,
-        g_a: float,
-        g_b: float,
-        g_nl: float,
-        delta_a: float,
-        delta_b: float,
-        lam: float = 0.0,
-    ) -> "ModelParams":
-        """Construct from the detunings the figure captions parameterize by.
-
-        Inverts the detuning definitions: omega_a = delta_a - delta_b and the
-        shifted omega_ex = 2*delta_a - delta_b.
-        """
-        return cls(omega_a=delta_a - delta_b, omega_ex=2.0 * delta_a - delta_b, g_a=g_a,
-                   g_b=g_b, g_nl=g_nl, lam=lam)
+    @property
+    def omega_a(self) -> float:
+        return self.delta_a - self.delta_b
 
     @property
     def omega_b(self) -> float:
         return 2.0 * self.omega_a
+
+    @property
+    def omega_ex(self) -> float:
+        return 2.0 * self.delta_a - self.delta_b
 
     def dressed_g_a(self) -> float:
         return dressed_coupling(self.g_a, self.lam)

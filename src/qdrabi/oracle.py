@@ -222,11 +222,15 @@ def propagate(ham, psi0, times, components) -> np.ndarray:
     every sample.  A sample off the lattice (irregular times, an
     off-stride final sample, a phase that is not finite) gets its own
     exponentials instead, so it comes out as the per-sample formula gives
-    it, non-finite where that is.
+    it, non-finite where that is.  A matrix with an entry that is not
+    finite (an energy that overflowed) has no eigenbasis, so every
+    component comes out nan.
     """
     matrix = np.asarray(ham)
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
+    if not np.isfinite(matrix).all():
+        return np.full((len(times), len(components)), np.nan, dtype=complex)
     try:
         energies, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -266,13 +270,9 @@ def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndar
 
 
 @dataclass
-class OracleResult:
+class OracleResult(TimeSeries):
     """Manifold-projected oracle trajectory, its leakage, and the Hamiltonian used."""
 
-    t: np.ndarray
-    amplitudes: np.ndarray
-    p2: np.ndarray
-    norm: np.ndarray
     leakage: np.ndarray
     hamiltonian: FockOperatorMatrix
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import FIELD_BY_KEY, RunConfig, SweepConfig, override, write_config
-from .dynamics import TimeSeries, integrate
+from .dynamics import DynamicsSpec, TimeSeries, integrate
 from .errors import IntegrationDivergedError
 from .oracle import compare, resolve_cutoffs, run_oracle
 from .serialize import (
@@ -72,18 +72,15 @@ def _cutoffs(config: RunConfig):
     return resolve_cutoffs(config.index(), config.cutoff_a, config.cutoff_b)
 
 
-def _oracle_report(config: RunConfig, series: TimeSeries, y0, cutoffs, out_dir: Path,
+def _oracle_report(spec: DynamicsSpec, mode: str, series: TimeSeries, cutoffs, out_dir: Path,
                    dump_hamiltonian: bool):
     """Run the Fock-basis validator against an integrated series; write its report.
 
     The returned error is None when the oracle agrees; a deviation or leakage
     that is not finite is a mismatch in either mode.
     """
-    mode = config.oracle_mode
-    result = run_oracle(
-        config.to_model_params(), series.t, index=config.index(),
-        y0=y0, mode=mode, cutoffs=cutoffs,
-    )
+    result = run_oracle(spec.params, series.t, index=spec.index, y0=spec.y0, mode=mode,
+                        cutoffs=cutoffs)
     deviation = compare(result, series)
     leakage = result.max_leakage()
     if not math.isfinite(deviation):
@@ -147,7 +144,7 @@ def run_single(
         if config.oracle:
             mark = time.perf_counter()
             deviation, leakage, error, extra = _oracle_report(
-                config, series, spec.y0, cutoffs, out_dir, dump_hamiltonian)
+                spec, config.oracle_mode, series, cutoffs, out_dir, dump_hamiltonian)
             phases["oracle"] = time.perf_counter() - mark
             outcome.deviation = deviation
             outcome.max_leakage = leakage

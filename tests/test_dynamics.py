@@ -9,6 +9,7 @@ from qdrabi import (
     IntegrationDivergedError,
     ManifoldAmplitudes,
     ManifoldIndex,
+    ModelParams,
     TimeGrid,
     TimeSeries,
     integrate,
@@ -25,14 +26,9 @@ def make_spec(g_a=1.0, g_b=1.0, g_nl=0.0, delta_a=0.0, delta_b=0.0, lam=0.0,
               m=0, n=0, y0=None, t_end=20.0, step=1e-3, sample_every=10):
     if y0 is None:
         y0 = ManifoldAmplitudes.unit("d")
-    dressing = math.exp(-0.5 * lam)
     return DynamicsSpec(
+        params=ModelParams(g_a, g_b, g_nl, delta_a, delta_b, lam),
         index=ManifoldIndex(m, n),
-        g_a_eff=g_a * dressing,
-        g_b_eff=g_b * dressing,
-        g_nl=g_nl,
-        delta_a=delta_a,
-        delta_b=delta_b,
         y0=y0,
         grid=TimeGrid(0.0, t_end, step, sample_every),
     )
@@ -41,8 +37,8 @@ def make_spec(g_a=1.0, g_b=1.0, g_nl=0.0, delta_a=0.0, delta_b=0.0, lam=0.0,
 def complex_rhs(t, y, spec):
     """Independent re-derivation of the equations of motion in complex form.
 
-    The six amplitudes obey (K = sqrt((n+1)(m+1)(m+2)), Ga = g_a_eff*sqrt(m+1),
-    Gb = g_b_eff*sqrt(n+1)):
+    The six amplitudes obey (K = sqrt((n+1)(m+1)(m+2)), Ga = g_a*exp(-lam/2)*sqrt(m+1),
+    Gb = g_b*exp(-lam/2)*sqrt(n+1)):
 
         i dA/dt = gnl K B                 i dB/dt = gnl K A
         i dC/dt = Gb e^{-i db t} D + gnl K E
@@ -50,10 +46,12 @@ def complex_rhs(t, y, spec):
         i dE/dt = gnl K C                 i dF/dt = Ga e^{-i da t} D
     """
     m, n = spec.index.m, spec.index.n
-    big_k = spec.g_nl * math.sqrt((n + 1) * (m + 1) * (m + 2))
-    ga = spec.g_a_eff * math.sqrt(m + 1)
-    gb = spec.g_b_eff * math.sqrt(n + 1)
-    da, db = spec.delta_a, spec.delta_b
+    p = spec.params
+    dressing = math.exp(-p.lam / 2)
+    big_k = p.g_nl * math.sqrt((n + 1) * (m + 1) * (m + 2))
+    ga = p.g_a * dressing * math.sqrt(m + 1)
+    gb = p.g_b * dressing * math.sqrt(n + 1)
+    da, db = p.delta_a, p.delta_b
     a, b, c, d, e, f = (complex(y[2 * k], y[2 * k + 1]) for k in range(6))
     da_phase = complex(math.cos(da * t), math.sin(da * t))
     db_phase = complex(math.cos(db * t), math.sin(db * t))
@@ -135,8 +133,7 @@ class TestIntegrate:
         spec = make_spec(g_a=1.0, g_b=1.0, g_nl=2.0, delta_a=1.0, delta_b=0.1, lam=0.01)
         forward = integrate(spec)
         back_spec = DynamicsSpec(
-            index=spec.index, g_a_eff=spec.g_a_eff, g_b_eff=spec.g_b_eff, g_nl=spec.g_nl,
-            delta_a=spec.delta_a, delta_b=spec.delta_b,
+            params=spec.params, index=spec.index,
             y0=ManifoldAmplitudes.from_array(forward.amplitudes[-1]),
             grid=TimeGrid(20.0, 0.0, -1e-3, 10),
         )
@@ -340,6 +337,9 @@ class TestValidation:
     def test_grid_rejects_inconsistent_direction(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, -1.0, 1e-3, 1)
+        # a window of at most half a step rounds to no step
+        with pytest.raises(ValueError, match="so it takes no step"):
+            TimeGrid(0.0, 0.5, 100.0, 1)
 
     def test_spec_rejects_zero_initial_norm(self):
         with pytest.raises(ValueError):

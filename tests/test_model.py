@@ -113,26 +113,29 @@ class TestDetunings:
 
 class TestModelParams:
     def test_omega_b_defaults_to_twice_omega_a(self):
-        p = ModelParams(omega_a=0.9, omega_ex=1.9, g_a=1, g_b=1, g_nl=2)
-        assert p.omega_b == 2 * 0.9
+        p = ModelParams(g_a=1, g_b=1, g_nl=2, delta_a=1.0, delta_b=0.1)
+        assert p.omega_b == 2 * (1.0 - 0.1)
 
     def test_inconsistent_omega_b_rejected(self):
-        # omega_b is derived from omega_a, never passed
-        with pytest.raises(TypeError, match="omega_b"):
-            ModelParams(omega_a=1.0, omega_ex=2.0, g_a=1, g_b=1, g_nl=0, omega_b=1.9)
+        # every frequency is derived from the detunings, never passed
+        for key in ("omega_a", "omega_b", "omega_ex"):
+            with pytest.raises(TypeError, match=key):
+                ModelParams(g_a=1, g_b=1, g_nl=0, delta_a=1.0, delta_b=0.1, **{key: 0.9})
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            ModelParams(omega_a=1.0, omega_ex=2.0, g_a=1, g_b=1, g_nl=0, lam=-1.0)
+            ModelParams(g_a=1, g_b=1, g_nl=0, delta_a=1.0, delta_b=0.1, lam=-1.0)
 
-    def test_from_detunings_round_trips(self):
-        p = ModelParams.from_detunings(1.0, 1.0, 2.0, delta_a=1.0, delta_b=0.1, lam=0.01)
+    def test_frequencies_invert_the_detunings(self):
+        p = ModelParams(1.0, 1.0, 2.0, delta_a=1.0, delta_b=0.1, lam=0.01)
+        assert p.omega_a == 1.0 - 0.1
+        assert p.omega_ex == 2.0 * 1.0 - 0.1
         delta_a, delta_b = detunings(p.omega_ex, p.omega_a)
         assert delta_a == pytest.approx(1.0, abs=1e-14)
         assert delta_b == pytest.approx(0.1, abs=1e-14)
 
     def test_dressed_couplings(self):
-        p = ModelParams.from_detunings(2.0, 3.0, 0.0, 1.0, 0.1, lam=1.0)
+        p = ModelParams(2.0, 3.0, 0.0, 1.0, 0.1, lam=1.0)
         assert p.dressed_g_a() == pytest.approx(2.0 * math.exp(-0.5), rel=1e-15)
         assert p.dressed_g_b() == pytest.approx(3.0 * math.exp(-0.5), rel=1e-15)
 

@@ -29,7 +29,7 @@ from qdrabi.oracle import (
 
 
 def params(g_a=0.0, g_b=0.0, g_nl=0.0, delta_a=1.0, delta_b=0.1, lam=0.0):
-    return ModelParams.from_detunings(g_a, g_b, g_nl, delta_a, delta_b, lam)
+    return ModelParams(g_a, g_b, g_nl, delta_a, delta_b, lam)
 
 
 class TestBasis:
@@ -49,7 +49,7 @@ class TestBasis:
 
 class TestBuildHamiltonian:
     def test_zero_couplings_diagonal(self):
-        p = ModelParams(omega_a=0.9, omega_ex=1.7, g_a=0, g_b=0, g_nl=0)
+        p = params(delta_a=0.8, delta_b=-0.1)  # omega_a = 0.9, omega_ex = 1.7
         ham = build_hamiltonian(p, 4, 3).matrix
         assert not np.abs(ham - np.diag(np.diag(ham))).any()
         # |1,m,n> -> omega_a*m + omega_b*n; |2,m,n> adds the shifted exciton level

@@ -189,22 +189,26 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("mode", ["restricted", "full"])
     def test_nonfinite_oracle_result_exits_3(self, tmp_path, capsys, mode):
-        # the detuning is finite, but the oracle's phases overflow to nan
-        text = (FIG3_TEXT.replace("delta_a = 1", "delta_a = 6e307") + "t_end = 1\n"
-                f"oracle_mode = {mode}\n")
-        if mode == "full":
-            text += "cutoff_a = 16\ncutoff_b = 16\n"
-        cfg_path = write(tmp_path / "run.cfg", text)
-        out = tmp_path / "out"
-        code = main(["check", cfg_path, "--out", str(out)])
-        assert code == EXIT_ORACLE
-        assert "qdrabi: oracle deviation nan is not finite" in capsys.readouterr().err
-        report = parse_manifest(out / "deviation.txt")
-        assert (report["max_deviation"], report["status"]) == ("nan", "mismatch")
-        verify_manifest(out / "manifest.txt")
-        entries = parse_manifest(out / "manifest.txt")
-        assert entries["status"] == "oracle-mismatch"
-        assert entries["error"] == "oracle deviation nan is not finite"
+        # the detunings are finite, but the oracle's phases overflow to nan
+        # (6e307), or so do omega_a and omega_ex and the Hamiltonian with them
+        # (+-1e308)
+        detunings = ["delta_a = 6e307\ndelta_b = 0.1\n", "delta_a = 1e308\ndelta_b = -1e308\n"]
+        for k, pair in enumerate(detunings):
+            text = (FIG3_TEXT.replace("delta_a = 1\ndelta_b = 0.1\n", pair) + "t_end = 1\n"
+                    f"oracle_mode = {mode}\n")
+            if mode == "full":
+                text += "cutoff_a = 16\ncutoff_b = 16\n"
+            cfg_path = write(tmp_path / f"run{k}.cfg", text)
+            out = tmp_path / f"out{k}"
+            code = main(["check", cfg_path, "--out", str(out)])
+            assert code == EXIT_ORACLE
+            assert "qdrabi: oracle deviation nan is not finite" in capsys.readouterr().err
+            report = parse_manifest(out / "deviation.txt")
+            assert (report["max_deviation"], report["status"]) == ("nan", "mismatch")
+            verify_manifest(out / "manifest.txt")
+            entries = parse_manifest(out / "manifest.txt")
+            assert entries["status"] == "oracle-mismatch"
+            assert entries["error"] == "oracle deviation nan is not finite"
 
     @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
     @pytest.mark.parametrize("key, mode", [("cutoff_a", ""), ("cutoff_b", ""),
@@ -416,6 +420,22 @@ class TestSweep:
         assert point["t_final"] == "50"
         assert entries["workers"] == str(min(workers, os.cpu_count() or 1))
 
+
+    def test_nonfinite_oracle_hamiltonian_point_is_partial(self, tmp_path):
+        # delta_a = 1e308 overflows omega_ex, and the oracle's Hamiltonian with it
+        text = (FIG3_TEXT + "t_end = 1\n"
+                "[sweep]\nparameter = delta_a\nvalues = 1, 1e308\n")
+        cfg_path = write(tmp_path / "sweep.cfg", text)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg_path, "--out", str(out), "--oracle"]) == EXIT_NUMERIC
+        entries = parse_manifest(out / "manifest.txt")
+        assert entries["status"] == "partial"
+        assert entries["point.point_000.status"] == "ok"
+        assert entries["point.point_001.error"] == "oracle deviation nan is not finite"
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["1"]
+        verify_manifest(out / "manifest.txt")
+        verify_manifest(out / "point_001" / "manifest.txt")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unstable_step_point_is_partial(self, tmp_path, workers):
@@ -800,6 +820,10 @@ class TestCliProperty:
     # overflowed in the signal estimate
     @example((FIG3_TEXT + "step = 23805164097865171753420388860690433\nt_end = 0.5\n",
               "[sweep]\nparameter = g_nl\nvalues = 2\n"))
+    # finite detunings whose omega_a and omega_ex overflow: the oracle's
+    # Hamiltonian is not finite
+    @example((FIG3_TEXT.replace("delta_a = 1\ndelta_b = 0.1", "delta_a = 1e308\ndelta_b = -1e308")
+              + "t_end = 0.5\n", "[sweep]\nparameter = g_nl\nvalues = 2\n"))
     def test_no_traceback(self, texts):
         # any exception escaping main fails the test: every input ends in a
         # result, a config error or a numerical-failure status
@@ -813,5 +837,8 @@ class TestCliProperty:
         with tempfile.TemporaryDirectory() as tmp:
             for k, (verb, text) in enumerate(cases):
                 cfg_path = write(Path(tmp) / f"{k}.cfg", text)
-                code = main([verb, cfg_path, "--out", str(Path(tmp) / f"out{k}")])
+                out = Path(tmp) / f"out{k}"
+                code = main([verb, cfg_path, "--out", str(out)])
                 assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_ORACLE)
+                if code != EXIT_USAGE:  # every run that started leaves a manifest
+                    verify_manifest(out / "manifest.txt")
