@@ -392,9 +392,12 @@ def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
             raise ConfigError(f"values{suffix} is empty", line=lineno)
         count = len(parts)
     elif has_range:
-        for k in ("start", "stop", "count"):
-            if f"{k}{suffix}" not in sweep:
-                raise ConfigError(f"linear range needs start{suffix}, stop{suffix} and count{suffix}")
+        keys = [f"{k}{suffix}" for k in ("start", "stop", "count")]
+        missing = [k for k in keys if k not in sweep]
+        if missing:
+            given = next(k for k in keys if k in sweep)
+            raise ConfigError(f"linear range needs {keys[0]}, {keys[1]} and {keys[2]}; "
+                              f"missing {' and '.join(missing)}", line=sweep[given][1])
         start_text, start_line = sweep[f"start{suffix}"]
         start = _parse_float("start", start_text, start_line)
         stop = _parse_float("stop", *sweep[f"stop{suffix}"])
@@ -403,7 +406,8 @@ def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
         if count < 1:
             raise ConfigError("'count': must be >= 1", line=lineno)
     else:
-        raise ConfigError(f"sweep axis '{param}' has no values{suffix} or range")
+        raise ConfigError(f"sweep axis '{param}' has no values{suffix} or range",
+                          line=sweep[f"parameter{suffix}"][1])
     if outer * count > MAX_POINTS:
         raise ConfigError(f"sweep grid of {outer * count} points is more than the limit "
                           f"of {MAX_POINTS}", line=lineno)
@@ -429,7 +433,8 @@ def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
 
 def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
     if "parameter" not in sweep:
-        raise ConfigError("[sweep] section needs a 'parameter' key")
+        first_line = next(iter(sweep.values()))[1]
+        raise ConfigError("[sweep] section needs a 'parameter' key", line=first_line)
     axes = []
     swept = set()
     for suffix in ("", "2"):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +36,16 @@ STATUS_PARTIAL = "partial"
 
 # summary.csv columns after the swept values, each a key of RunOutcome.summary
 SUMMARY_COLUMNS = ("max_p2", "min_p2", "dominant_freq", "max_norm_drift")
+
+
+def __getattr__(name):
+    # importing the pool loads multiprocessing (~20 ms), which only a sweep with
+    # more than one worker uses; the first lookup caches the class as a global
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -221,7 +231,10 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     # about 32 chunks a worker: large grids amortise the per-item round trip
     # and the last chunks still balance the workers
     chunksize = max(1, len(points) // (32 * workers))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+    # an attribute of the module, not a bare global name: that lookup imports the
+    # pool on first use and finds a class that replaced it
+    with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
         results = (pool.map(_sweep_point, jobs, chunksize=chunksize) if workers > 1
                    else map(_sweep_point, jobs))
         for i, outcome in results:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -404,6 +405,30 @@ class TestSweep:
         entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
         assert entries["workers"] == "4"
 
+    def test_pool_class_resolved_at_call_time(self, tmp_path, monkeypatch):
+        # perfbench subclasses runner.ProcessPoolExecutor, so it must be the real class
+        assert runner.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        maps = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                maps.append(fn)
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2, 3\n")
+        run_sweep(cfg, tmp_path / "seq", workers=1)
+        assert maps == []
+        run_sweep(cfg, tmp_path / "par", workers=2)
+        assert len(maps) == 1
+        assert parse_manifest(tmp_path / "par" / "manifest.txt")["workers"] == "2"
+        seq, par = output_files(tmp_path / "seq"), output_files(tmp_path / "par")
+        assert seq.keys() == par.keys()
+        for rel, data in seq.items():
+            if not rel.endswith("manifest.txt"):
+                assert data == par[rel], rel
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_point_error_recorded(self, tmp_path, workers):
         text = (
@@ -726,12 +751,46 @@ class TestCli:
         assert "config error: " in err and "cutoffs" in err
         assert not out.exists()
 
-    def test_import_leaves_scipy_out(self):
-        # scipy is a test and benchmark dependency only
+    def test_import_leaves_scipy_out(self, tmp_path):
+        # scipy is a test and benchmark dependency only, and the process pool
+        # is loaded only by a sweep that still has more than one worker
+        run_cfg = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 1\n")
+        sweep_cfg = write(tmp_path / "sweep.cfg",
+                          FIG3_TEXT + "t_end = 1\n[sweep]\nparameter = g_nl\nvalues = 1\n")
+        code = f"""
+import sys
+import qdrabi.cli
+
+def unloaded():
+    loaded = {{"scipy", "multiprocessing", "concurrent.futures.process"}} & set(sys.modules)
+    assert not loaded, loaded
+
+unloaded()
+for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}],
+             ["sweep", {sweep_cfg!r}, "--workers", "2"]):
+    assert qdrabi.cli.main(argv + ["--out", {str(tmp_path / "out")!r} + argv[0]]) == 0
+    unloaded()
+"""
         src = str(Path(qdrabi.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import qdrabi.cli, sys; assert 'scipy' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.parametrize("axis, line, message", [
+        ("parameter = g_nl\nstart = 0\ncount = 3\n", 7,
+         "linear range needs start, stop and count; missing stop"),
+        ("parameter = g_nl\nvalues = 1\nparameter2 = m\nstop2 = 3\n", 9,
+         "linear range needs start2, stop2 and count2; missing start2 and count2"),
+        ("parameter = g_nl\n", 6, "sweep axis 'g_nl' has no values or range"),
+        ("\nvalues = 1, 2\nstart = 0\n", 7, "[sweep] section needs a 'parameter' key"),
+    ], ids=["partial-range", "partial-range2", "no-values", "no-parameter"])
+    def test_sweep_section_error_names_line(self, tmp_path, capsys, axis, line, message):
+        cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + "[sweep]\n" + axis)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: line {line}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["restricted", "full"])
     def test_overflowing_oracle_prints_no_numpy_warning(self, tmp_path, mode):
