@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .config import (
     PRESET_NAMES,
-    RunConfig,
     SweepConfig,
     override,
     parse_config_file,
@@ -87,13 +87,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_run_config(path) -> RunConfig:
-    config = parse_config_file(path)
-    if isinstance(config, SweepConfig):
-        raise ConfigError("config has a [sweep] section; use the sweep verb")
-    return config
-
-
 def _report(outcome):
     print(f"status: {outcome.status}")
     if outcome.summary:
@@ -112,31 +105,35 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    try:
-        if args.verb == "sweep":
-            config = parse_config_file(args.config)
-            if not isinstance(config, SweepConfig):
-                raise ConfigError("sweep verb needs a config with a [sweep] section")
-            if args.workers < 1:
+    with warnings.catch_warnings():
+        # each warning is one stderr line, like the errors below
+        warnings.showwarning = lambda message, *_: print(f"qdrabi: warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            if args.verb == "preset":
+                config = preset_config(args.name)
+            else:
+                config = parse_config_file(args.config)
+                if isinstance(config, SweepConfig) != (args.verb == "sweep"):
+                    raise ConfigError("sweep verb needs a config with a [sweep] section"
+                                      if args.verb == "sweep"
+                                      else "config has a [sweep] section; use the sweep verb")
+            if args.verb == "sweep" and args.workers < 1:
                 raise ConfigError("--workers must be >= 1")
-        elif args.verb == "preset":
-            config = preset_config(args.name)
-        else:
-            config = _load_run_config(args.config)
-        config = override(config, step=args.step, oracle=getattr(args, "oracle", False))
-        if args.verb == "sweep":
-            outcome = run_sweep(config, args.out, workers=args.workers)
-        elif args.verb == "check":
-            outcome = oracle_check(config, args.out, dump_hamiltonian=args.dump_hamiltonian)
-        else:
-            verb = "run" if args.verb == "run" else f"preset {args.name}"
-            outcome = run_single(config, args.out, verb=verb)
-    except (ConfigError, OSError) as exc:
-        print(f"qdrabi: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, FloatingPointError) as exc:
-        print(f"qdrabi: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+            config = override(config, step=args.step, oracle=getattr(args, "oracle", False))
+            if args.verb == "sweep":
+                outcome = run_sweep(config, args.out, workers=args.workers)
+            elif args.verb == "check":
+                outcome = oracle_check(config, args.out, dump_hamiltonian=args.dump_hamiltonian)
+            else:
+                verb = "run" if args.verb == "run" else f"preset {args.name}"
+                outcome = run_single(config, args.out, verb=verb)
+        except (ConfigError, OSError) as exc:
+            print(f"qdrabi: config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (RuntimeError, FloatingPointError) as exc:
+            print(f"qdrabi: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
     _report(outcome)
     if outcome.error:

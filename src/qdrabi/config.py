@@ -18,11 +18,12 @@ Huang-Rhys factor may be given as `lambda` or derived from an explicit
 
 from __future__ import annotations
 
+import codecs
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
-from .dynamics import DynamicsSpec, ManifoldAmplitudes, ManifoldIndex, TimeGrid
+from .dynamics import SLOTS, DynamicsSpec, ManifoldAmplitudes, ManifoldIndex, TimeGrid
 from .errors import ConfigError, InvalidSpectrumError
 from .model import (
     ModelParams,
@@ -51,7 +52,7 @@ __all__ = [
 
 REQUIRED_KEYS = ("g_nl", "delta_a", "delta_b", "lambda")
 SWEEPABLE_KEYS = ("g_a", "g_b", "g_nl", "delta_a", "delta_b", "lambda", "m", "n", "step")
-INITIAL_SLOTS = ("a", "b", "c", "d", "e", "f", "excited")
+INITIAL_SLOTS = (*SLOTS, "excited")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
 # RK4 steps one trajectory may take, 400x the fig3 grid.  Steps are powered per
 # sample stride, not taken one by one, so this no longer bounds the time (10^7
@@ -89,7 +90,6 @@ class RunConfig:
     lam: float
     g_a: float = 1.0
     g_b: float = 1.0
-    shift: float = 0.0
     phonon_modes: tuple[tuple[float, float], ...] = ()
     m: int = 0
     n: int = 0
@@ -103,6 +103,28 @@ class RunConfig:
     cutoff_a: int | None = None
     cutoff_b: int | None = None
     defaulted: tuple[str, ...] = ()
+
+    @property
+    def shift(self) -> float:
+        """Polaron shift of `phonon_modes`; 0 without a spectrum."""
+        if not self.phonon_modes:
+            return 0.0
+        return polaron_shift(PhononSpectrum.from_pairs(self.phonon_modes))
+
+    def entries(self):
+        """(key, value) for each set [run] key in manifest order.
+
+        An unset cutoff is left out, and the `phonon_modes` text follows
+        `lambda`.  Both the resolved config file and the manifest spell a
+        run this way.
+        """
+        for key, (fname, _, _) in _KEYS.items():
+            value = getattr(self, fname)
+            if value is None:  # an unset cutoff
+                continue
+            yield key, value
+            if key == "lambda" and self.phonon_modes:
+                yield "phonon_modes", ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in self.phonon_modes)
 
     def initial_slot(self) -> str:
         return "d" if self.initial == "excited" else self.initial
@@ -318,19 +340,11 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
             + " (required: " + ", ".join(REQUIRED_KEYS) + ")"
         )
 
-    values: dict[str, object] = {}
-    defaulted = []
-    for key, (fname, _, _) in _KEYS.items():
-        if key in run:
-            values[fname] = _value(key, *run[key])
-        elif fname in _FIELD_DEFAULTS:
-            values[fname] = _FIELD_DEFAULTS[fname]
-            if key not in swept:
-                defaulted.append(key)
-        else:
-            # no default: a swept key is replaced per sweep point, lambda and
-            # the detunings may still come from phonon_modes or omega_* below
-            values[fname] = 0.0
+    # a key with no default is required: a swept one is replaced per sweep
+    # point, lambda and the detunings may still come from phonon_modes or omega_*
+    values = {fname: _FIELD_DEFAULTS.get(fname, 0.0) for fname in FIELD_BY_KEY.values()}
+    values.update((FIELD_BY_KEY[key], _value(key, *run[key])) for key in _KEYS if key in run)
+    defaulted = tuple(k for k in _KEYS if k not in given and k not in REQUIRED_KEYS)
 
     if values["t_end"] <= values["t_start"]:
         where = run.get("t_end", run.get("t_start", (None, None)))[1]
@@ -359,8 +373,8 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
             )
         if "lambda" in run:
             warnings.warn(
-                "both lambda and phonon_modes given; using the direct lambda "
-                f"({fmt(values['lam'])}) over the spectrum-derived value "
+                f"line {run['lambda'][1]}: both lambda and phonon_modes given; using the "
+                f"direct lambda ({fmt(values['lam'])}) over the spectrum-derived value "
                 f"({fmt(lam_from_spectrum)})",
                 stacklevel=2,
             )
@@ -372,8 +386,7 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
         omega_ex = _parse_float("omega_ex", *run["omega_ex"])
         values["delta_a"], values["delta_b"] = detunings(omega_ex, omega_a, shift)
 
-    return RunConfig(shift=shift, phonon_modes=spectrum_pairs, defaulted=tuple(defaulted),
-                     **values)
+    return RunConfig(phonon_modes=spectrum_pairs, defaulted=defaulted, **values)
 
 
 def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
@@ -440,8 +453,10 @@ def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
     for suffix in ("", "2"):
         pkey = f"parameter{suffix}"
         if pkey not in sweep:
-            if any(f"{k}{suffix}" in sweep for k in ("values", "start", "stop", "count")):
-                raise ConfigError(f"sweep values{suffix} given without {pkey}")
+            stray = [sweep[k + suffix][1] for k in ("values", "start", "stop", "count")
+                     if k + suffix in sweep]
+            if stray:
+                raise ConfigError(f"sweep values{suffix} given without {pkey}", line=min(stray))
             continue
         param, lineno = sweep[pkey]
         if param not in SWEEPABLE_KEYS:
@@ -467,9 +482,14 @@ def parse_config(text: str):
 
 
 def parse_config_file(path):
-    """Parse a config file; bytes that are not UTF-8 are a ConfigError naming their line."""
+    """Parse a config file; bytes that are not UTF-8 are a ConfigError naming their line.
+
+    A leading UTF-8 byte order mark is dropped before decoding.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -505,21 +525,13 @@ def override(config, step: float | None = None, oracle: bool = False):
 def write_config(config) -> str:
     """Canonical text form; parsing it back reproduces every float exactly."""
     base = config.base if isinstance(config, SweepConfig) else config
+    spectrum_lam = (huang_rhys(PhononSpectrum.from_pairs(base.phonon_modes))
+                    if base.phonon_modes else None)
     lines = ["[run]"]
-    for key, fname in FIELD_BY_KEY.items():
-        value = getattr(base, fname)
-        if key == "lambda":
-            spectrum_lam = None
-            if base.phonon_modes:
-                spectrum_lam = huang_rhys(PhononSpectrum.from_pairs(base.phonon_modes))
-            if spectrum_lam is None or spectrum_lam != base.lam:
-                # only write lambda when the spectrum cannot reproduce it, so a
-                # reparse does not warn about redundant sources
-                lines.append(f"lambda = {fmt(base.lam)}")
-            if base.phonon_modes:
-                pairs = ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in base.phonon_modes)
-                lines.append(f"phonon_modes = {pairs}")
-        elif value is not None:  # an unset cutoff is left out
+    for key, value in base.entries():
+        # lambda is written only when the spectrum cannot reproduce it, so a
+        # reparse does not warn about redundant sources
+        if key != "lambda" or value != spectrum_lam:
             lines.append(f"{key} = {fmt(value)}")
     if isinstance(config, SweepConfig):
         lines.append("")

@@ -27,7 +27,7 @@ stays bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "TimeGrid",
     "DynamicsSpec",
     "TimeSeries",
+    "SLOTS",
     "AMPLITUDE_COLUMNS",
     "rhs",
     "integrate",
@@ -47,9 +48,8 @@ __all__ = [
     "nl_block_baseline",
 ]
 
-AMPLITUDE_COLUMNS = ("a1", "a2", "b1", "b2", "c1", "c2", "d1", "d2", "e1", "e2", "f1", "f2")
-
-_SLOT_OFFSET = {"a": 0, "b": 2, "c": 4, "d": 6, "e": 8, "f": 10}
+# the six manifold amplitudes in storage order; slot k is the (re, im) pair at 2k, 2k+1
+SLOTS = ("a", "b", "c", "d", "e", "f")
 
 # samples advanced per matrix product in `integrate`
 _BLOCK_SAMPLES = 64
@@ -91,10 +91,10 @@ class ManifoldAmplitudes:
     @classmethod
     def unit(cls, slot: str = "d") -> "ManifoldAmplitudes":
         """Unit amplitude in one slot (a..f); 'd' is the excited dot with no photons added."""
-        if slot not in _SLOT_OFFSET:
-            raise ValueError(f"slot must be one of {sorted(_SLOT_OFFSET)}, got {slot!r}")
+        if slot not in SLOTS:
+            raise ValueError(f"slot must be one of {list(SLOTS)}, got {slot!r}")
         values = [0.0] * 12
-        values[_SLOT_OFFSET[slot]] = 1.0
+        values[2 * SLOTS.index(slot)] = 1.0
         return cls(*values)
 
     @classmethod
@@ -105,8 +105,7 @@ class ManifoldAmplitudes:
         return cls(*values)
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.a1, self.a2, self.b1, self.b2, self.c1, self.c2,
-                self.d1, self.d2, self.e1, self.e2, self.f1, self.f2)
+        return tuple(getattr(self, name) for name in AMPLITUDE_COLUMNS)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.as_tuple())
@@ -114,6 +113,9 @@ class ManifoldAmplitudes:
     def norm(self) -> float:
         """Total probability: sum of squared moduli of all six amplitudes."""
         return sum(x * x for x in self.as_tuple())
+
+
+AMPLITUDE_COLUMNS = tuple(f.name for f in fields(ManifoldAmplitudes))
 
 
 @dataclass(frozen=True)
@@ -219,12 +221,16 @@ def rhs(t: float, y: ManifoldAmplitudes, spec: DynamicsSpec) -> ManifoldAmplitud
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: times, 12 real amplitudes, excited population, norm."""
+    """Sampled trajectory: times, 12 real amplitudes and norm."""
 
     t: np.ndarray
     amplitudes: np.ndarray
-    p2: np.ndarray
     norm: np.ndarray
+
+    @property
+    def p2(self) -> np.ndarray:
+        """Excited population |C[2,m,n]|^2 = d1^2 + d2^2 at each sample."""
+        return self.amplitudes[:, 6] ** 2 + self.amplitudes[:, 7] ** 2
 
     def __len__(self) -> int:
         return len(self.t)
@@ -374,8 +380,7 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
             f"the RK4 stability limit",
             t_last=float(last),
         )
-    p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
-    return TimeSeries(t=t_arr, amplitudes=amplitudes, p2=p2, norm=norms)
+    return TimeSeries(t=t_arr, amplitudes=amplitudes, norm=norms)
 
 
 def jc_baseline(t, g: float, lam: float = 0.0, delta: float = 0.0, m: int = 0):

@@ -325,8 +325,7 @@ def run_oracle(
     amplitudes = np.empty((len(amps_c), 12))
     amplitudes[:, 0::2] = amps_c.real
     amplitudes[:, 1::2] = amps_c.imag
-    p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
-    return OracleResult(t=times, amplitudes=amplitudes, p2=p2, norm=norm, leakage=norm - inside,
+    return OracleResult(t=times, amplitudes=amplitudes, norm=norm, leakage=norm - inside,
                         hamiltonian=ham)
 
 

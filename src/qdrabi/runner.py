@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import FIELD_BY_KEY, RunConfig, SweepConfig, override, write_config
+from .config import RunConfig, SweepConfig, override, write_config
 from .dynamics import DynamicsSpec, TimeSeries, integrate
 from .errors import IntegrationDivergedError
 from .oracle import compare, resolve_cutoffs, run_oracle
@@ -61,16 +61,10 @@ class RunOutcome:
 
 def _param_entries(config: RunConfig) -> list[tuple[str, object]]:
     entries = []
-    for key, fname in FIELD_BY_KEY.items():
-        value = getattr(config, fname)
-        if value is None:  # an unset cutoff
-            continue
+    for key, value in config.entries():
         entries.append((f"param.{key}", value))
         if key == "lambda":
             entries.append(("param.shift", config.shift))
-            if config.phonon_modes:
-                pairs = ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in config.phonon_modes)
-                entries.append(("param.phonon_modes", pairs))
     entries.append(("defaulted", ", ".join(config.defaulted)))
     return entries
 
@@ -239,7 +233,7 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
                    else map(_sweep_point, jobs))
         for i, outcome in results:
             point, values = name(i), points[i][0]
-            cells = [fmt(float(v)) if isinstance(v, float) else str(v) for v in values]
+            cells = [fmt(v) for v in values]
             point_entries += [(f"point.{point}.values", ", ".join(cells)),
                               (f"point.{point}.status", outcome.status)]
             if outcome.status == STATUS_OK:

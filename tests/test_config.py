@@ -90,7 +90,7 @@ class TestRunParsing:
 
     def test_direct_lambda_wins_with_warning(self):
         text = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.5\nphonon_modes = 0.1:1.0\n"
-        with pytest.warns(UserWarning, match="direct lambda"):
+        with pytest.warns(UserWarning, match="^line 4: both lambda .* direct lambda"):
             cfg = parse_config(text)
         assert cfg.lam == 0.5
         assert cfg.shift == pytest.approx(0.01, abs=1e-16)

@@ -199,8 +199,7 @@ def reference_integrate(spec):
             ys.append(y)
 
     amplitudes = np.array(ys)
-    p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
-    return TimeSeries(t=np.array(ts), amplitudes=amplitudes, p2=p2,
+    return TimeSeries(t=np.array(ts), amplitudes=amplitudes,
                       norm=(amplitudes ** 2).sum(axis=1))
 
 

@@ -311,8 +311,7 @@ def reference_run_oracle(
     amplitudes = np.empty((len(amps_c), 12))
     amplitudes[:, 0::2] = amps_c.real
     amplitudes[:, 1::2] = amps_c.imag
-    p2 = amplitudes[:, 6] ** 2 + amplitudes[:, 7] ** 2
-    return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes, p2=p2,
+    return OracleResult(t=np.asarray(times, dtype=float), amplitudes=amplitudes,
                         norm=total, leakage=total - inside, hamiltonian=ham)
 
 

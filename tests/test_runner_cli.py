@@ -1,3 +1,4 @@
+import codecs
 import concurrent.futures
 import math
 import os
@@ -522,22 +523,38 @@ class TestCli:
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
         assert main(["check", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
-    def test_flags_are_recorded_as_config_values(self, tmp_path, capsys):
-        # resolved_config.txt reruns to the same files, and the manifests
-        # record the flagged values as configured
-        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "t_end = 0.5\nsamples = 50\n")
+    @pytest.mark.parametrize("text, flags", [
+        (FIG3_TEXT, ["--step", "0.01", "--oracle"]),
+        (FIG3_TEXT.replace("0.01", "0.5") + "phonon_modes = 0.1:1, 0.05:2\n", ["--oracle"]),
+        ("g_nl = 2\nomega_a = 3\nomega_ex = 4.2\nphonon_modes = 0.1:1.0, 0.2:2.0\n", []),
+    ], ids=["flags", "lambda-and-phonon_modes", "omega"])
+    def test_resolved_config_reruns_to_the_same_run(self, tmp_path, capsys, text, flags):
+        # resolved_config.txt reruns to the same files and parameters, and the
+        # manifests record flagged values as configured
+        cfg_path = write(tmp_path / "run.cfg", text + "t_end = 0.5\nsamples = 50\n")
         first, second = tmp_path / "first", tmp_path / "second"
-        flags = ["--step", "0.01", "--oracle"]
+        resolved = first / "resolved_config.txt"
         assert main(["run", cfg_path, "--out", str(first)] + flags) == EXIT_OK
-        assert main(["run", str(first / "resolved_config.txt"), "--out", str(second)]) == EXIT_OK
+        assert main(["run", str(resolved), "--out", str(second)]) == EXIT_OK
         capsys.readouterr()
-        for name in ("trajectory.csv", "p2.csv", "deviation.txt"):
+        names = ["trajectory.csv", "p2.csv"] + (["deviation.txt"] if "--oracle" in flags else [])
+        for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
-        for out in (first, second):
-            entries = parse_manifest(out / "manifest.txt")
-            assert (entries["param.step"], entries["param.oracle"]) == ("0.01", "true")
-            defaulted = entries["defaulted"].split(", ")
-            assert "step" not in defaulted and "oracle" not in defaulted
+        manifests = [parse_manifest(out / "manifest.txt") for out in (first, second)]
+        params = [[(k, v) for k, v in entries.items() if k.startswith("param.")]
+                  for entries in manifests]
+        assert params[0] == params[1]
+        # every stated key reads as in the manifest; the rerun states all but
+        # the unset cutoffs, so only those stay defaulted
+        stated = dict(line.split(" = ", 1) for line in resolved.read_text().splitlines()[1:])
+        assert all(manifests[0][f"param.{key}"] == value for key, value in stated.items())
+        assert manifests[1]["defaulted"] == ", ".join(
+            key for key in manifests[0]["defaulted"].split(", ") if key not in stated)
+        if "--step" in flags:
+            for entries in manifests:
+                assert (entries["param.step"], entries["param.oracle"]) == ("0.01", "true")
+                defaulted = entries["defaulted"].split(", ")
+                assert "step" not in defaulted and "oracle" not in defaulted
 
     def test_check_manifest_records_oracle_on(self, tmp_path):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
@@ -616,6 +633,33 @@ class TestCli:
         assert "line 2" in err and "UTF-8" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes((FIG3_TEXT + FAST).encode())
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for path in (plain, marked):
+            assert main(["run", str(path), "--out", str(tmp_path / path.stem)]) == EXIT_OK
+        files = [output_files(tmp_path / name) for name in ("plain", "marked")]
+        for found in files:
+            found["manifest.txt"] = [line for line in found["manifest.txt"].splitlines()
+                                     if not line.startswith((b"duration_s = ", b"phase."))]
+        assert files[0] == files[1]
+        # the mark is not counted in the byte offsets of a later bad byte
+        marked.write_bytes(codecs.BOM_UTF8 + b"g_nl = 2\ndelta_a = 1\n\xff\n")
+        capsys.readouterr()
+        assert main(["run", str(marked), "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: line 3: not UTF-8 text" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_warning_is_one_stderr_line_naming_its_line(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST + "phonon_modes = 0.1:1\n")
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["qdrabi: warning: line 4: both lambda and phonon_modes given; using the "
+                       "direct lambda (0.01) over the spectrum-derived value "
+                       "(0.010000000000000002)"]
 
     @pytest.mark.parametrize("verb, text", [
         ("run", FIG3_TEXT.replace("delta_a = 1", "delta_a = 1e10")
@@ -782,7 +826,12 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}],
          "linear range needs start2, stop2 and count2; missing start2 and count2"),
         ("parameter = g_nl\n", 6, "sweep axis 'g_nl' has no values or range"),
         ("\nvalues = 1, 2\nstart = 0\n", 7, "[sweep] section needs a 'parameter' key"),
-    ], ids=["partial-range", "partial-range2", "no-values", "no-parameter"])
+        ("values2 = 1\nparameter = g_nl\nvalues = 1\n", 6,
+         "sweep values2 given without parameter2"),
+        ("parameter = g_nl\nvalues = 1\ncount2 = 3\nstart2 = 0\n", 8,
+         "sweep values2 given without parameter2"),
+    ], ids=["partial-range", "partial-range2", "no-values", "no-parameter", "stray-values2",
+            "stray-range2"])
     def test_sweep_section_error_names_line(self, tmp_path, capsys, axis, line, message):
         cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + "[sweep]\n" + axis)
         out = tmp_path / "out"
