@@ -54,6 +54,13 @@ SLOTS = ("a", "b", "c", "d", "e", "f")
 # samples advanced per matrix product in `integrate`
 _BLOCK_SAMPLES = 64
 
+# Bound on rho^n_steps, the growth of the fastest mode of the co-moving RK4
+# step over the whole window (rho its spectral radius): a step past the
+# stability limit grows it exponentially in n_steps (fig3 at step 0.94 over
+# t in [0, 10]: 1.31).  Below the limit rho is 1 to within eigvals' rounding,
+# a few ulps, which is below 1e-7 of growth even over 1e7 steps.
+_MAX_GROWTH = 1.01
+
 
 @dataclass(frozen=True)
 class ManifoldIndex:
@@ -308,11 +315,14 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
     to rounding.
 
     Deterministic: identical specs give bit-identical samples.  Raises
-    IntegrationDivergedError if the state leaves the finite range (carrying
-    the last finite sample time), if a detuning phase over one step
-    overflows, or if the norm grows past twice its initial value (carrying
-    the last sample inside that bound), which only happens when the step is
-    past the RK4 stability limit for the coupling scale.
+    IntegrationDivergedError before any step if a detuning phase over one
+    step overflows, or if the step is past the RK4 stability limit: the
+    spectral radius rho of Q gives rho^n_steps above `_MAX_GROWTH` (both
+    carrying t_start).  After the steps it raises if the state leaves the
+    finite range (carrying the last finite sample time), or if the norm
+    grows past twice its initial value (carrying the last sample inside
+    that bound): Q is not normal, so a bounded rho^n_steps does not by
+    itself bound the growth of every state.
     """
     coeffs = spec.coefficients()
     ga, gb, _, da, db = coeffs
@@ -336,6 +346,15 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
         back[re, re + 1] = np.sin(theta)
         back[re + 1, re] = -np.sin(theta)
         step = _compose(back, _rk4_increment(h, coeffs))
+        if np.isfinite(step).all():  # else the state turns nonfinite, checked below
+            rho = float(np.abs(np.linalg.eigvals(np.eye(12) + step)).max())
+            growth = np.float64(rho) ** n_steps  # inf, not OverflowError, past the range
+            if growth > _MAX_GROWTH:
+                raise IntegrationDivergedError(
+                    f"step {h!r} is past the RK4 stability limit: the step matrix's spectral "
+                    f"radius {rho!r} grows a mode {growth:.3g}-fold over {n_steps} steps, "
+                    f"more than the bound {_MAX_GROWTH!r}",
+                    t_last=float(t0))
 
         n_full, rest = divmod(n_steps, stride)
         ks = np.arange(n_full + 1) * stride

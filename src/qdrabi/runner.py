@@ -140,8 +140,10 @@ def run_single(
     if series is not None:
         if write_trajectory:
             mark = time.perf_counter()
-            files["trajectory.csv"] = write_timeseries_csv(out_dir / "trajectory.csv", series)
-            files["p2.csv"] = write_p2_csv(out_dir / "p2.csv", series)
+            p2_text = []  # p2.csv is cut from the trajectory's formatted t and p2 fields
+            files["trajectory.csv"] = write_timeseries_csv(out_dir / "trajectory.csv", series,
+                                                           p2_text)
+            files["p2.csv"] = write_p2_csv(out_dir / "p2.csv", series, p2_text)
             files["resolved_config.txt"] = write_lines(out_dir / "resolved_config.txt",
                                                        write_config(config).splitlines())
             phases["write"] = time.perf_counter() - mark

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "t," + ",".join(AMPLITUDE_COLUMNS) + ",p2,norm"
+P2_HEADER = "t,p2"
+# the trajectory fields that p2.csv repeats
+_P2_FIELDS = [CSV_HEADER.split(",").index(name) for name in P2_HEADER.split(",")]
 
 
 def fmt(x) -> str:
@@ -149,31 +152,47 @@ def _fixed_words(x) -> np.ndarray:
     return words
 
 
-def format_block(block, seps: bytes) -> bytes:
-    """The text of a 2-D float block, each value as `format(x, ".17g")` plus a separator.
+def _word_grid(block, seps: bytes) -> np.ndarray:
+    """The text of a 2-D float block as a (rows, width, 4) grid of uint64 words.
 
-    `seps` holds one separator byte per column, written after each value of
-    that column.  Values whose `%.17g` form is fixed notation (|x| in
-    [1e-4, 1e17)) are converted in numpy by `_fixed_words`, zeros are
-    written as "0" or "-0", and nan, inf, subnormals and exponent-notation
-    magnitudes fall back to `format`.
+    Each value takes 32 bytes: its `format(x, ".17g")` text in the first 24,
+    padded with 0 bytes, then its column's separator byte from `seps`, which
+    holds one per column.  Values whose `%.17g` form is fixed notation (|x| in
+    [1e-4, 1e17)) are converted in numpy by `_fixed_words`, zeros are written
+    as "0" or "-0", and nan, inf, subnormals and exponent-notation magnitudes
+    fall back to `format`.
     """
     n_rows, width = block.shape
     x = block.ravel()
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
     zero = a == 0.0
-    out = np.zeros((len(x), 4), dtype="<u8")  # 32 bytes per value, 0 bytes are dropped
+    out = np.zeros((len(x), 4), dtype="<u8")
     out[:, :3][fixed] = _fixed_words(x[fixed])
     out[zero, 0] = _ZERO[np.signbit(x[zero]).astype(np.intp)]
-    out.reshape(n_rows, width, 4)[:, :, 3] = np.frombuffer(seps, dtype=np.uint8)
+    grid = out.reshape(n_rows, width, 4)
+    grid[:, :, 3] = np.frombuffer(seps, dtype=np.uint8)
 
     other = np.flatnonzero(~(fixed | zero))
     if other.size:
         spelled = b"".join(format(v, ".17g").encode().ljust(24, b"\0")
                            for v in x[other].tolist())
         out.view(np.uint8)[other, :24] = np.frombuffer(spelled, dtype=np.uint8).reshape(-1, 24)
-    return out.tobytes().translate(None, b"\0")
+    return grid
+
+
+def _text(grid) -> bytes:
+    """The bytes of a word grid with its 0 bytes dropped."""
+    return grid.tobytes().translate(None, b"\0")
+
+
+def format_block(block, seps: bytes) -> bytes:
+    """The text of a 2-D float block, each value as `format(x, ".17g")` plus a separator.
+
+    `seps` holds one separator byte per column, written after each value of
+    that column.
+    """
+    return _text(_word_grid(block, seps))
 
 
 def _write(path, chunks) -> str:
@@ -186,28 +205,54 @@ def _write(path, chunks) -> str:
     return digest.hexdigest()
 
 
-def _rows(columns, seps: bytes):
-    """The text of the rows of `columns` (1-D or 2-D float arrays), one block at a time."""
+def _grids(columns, seps: bytes):
+    """The word grids of the rows of `columns` (1-D or 2-D float arrays), one block at a time."""
     rows = max(1, _BLOCK_VALUES // len(seps))
     for lo in range(0, len(columns[0]), rows):
-        yield format_block(np.column_stack([col[lo:lo + rows] for col in columns]), seps)
+        yield _word_grid(np.column_stack([col[lo:lo + rows] for col in columns]), seps)
+
+
+def _rows(columns, seps: bytes):
+    """The text of the rows of `columns`, one block at a time."""
+    return map(_text, _grids(columns, seps))
+
+
+def _csv_seps(header: str) -> bytes:
+    """A comma after each field of a row and a LF after its last."""
+    return b"," * header.count(",") + b"\n"
 
 
 def _csv(header: str, columns):
     """A header line, then one comma-separated row per sample, one value per header name."""
-    width = header.count(",") + 1
     yield header.encode() + b"\n"
-    yield from _rows(columns, b"," * (width - 1) + b"\n")
+    yield from _rows(columns, _csv_seps(header))
 
 
-def write_timeseries_csv(path, series: TimeSeries) -> str:
-    """Full trajectory: t, the 12 real amplitudes, excited population, norm."""
-    return _write(path, _csv(CSV_HEADER, [series.t, series.amplitudes, series.p2, series.norm]))
+def write_timeseries_csv(path, series: TimeSeries, p2_text: list | None = None) -> str:
+    """Full trajectory: t, the 12 real amplitudes, excited population, norm.
+
+    Given a list as `p2_text`, appends the text of p2.csv to it, cut from
+    the words formatted here (each row's t and p2 fields), so that
+    `write_p2_csv(path, series, p2_text)` writes it without formatting again.
+    """
+    def chunks():
+        yield CSV_HEADER.encode() + b"\n"
+        if p2_text is not None:
+            p2_text.append(P2_HEADER.encode() + b"\n")
+        columns = [series.t, series.amplitudes, series.p2, series.norm]
+        for grid in _grids(columns, _csv_seps(CSV_HEADER)):
+            if p2_text is not None:
+                pair = grid.take(_P2_FIELDS, axis=1)
+                pair[:, -1, 3] = ord("\n")
+                p2_text.append(_text(pair))
+            yield _text(grid)
+
+    return _write(path, chunks())
 
 
-def write_p2_csv(path, series: TimeSeries) -> str:
-    """Two-column plot file: t, p2."""
-    return _write(path, _csv("t,p2", [series.t, series.p2]))
+def write_p2_csv(path, series: TimeSeries, p2_text: list | None = None) -> str:
+    """Two-column plot file: t, p2; the text `write_timeseries_csv` cut for it, if given."""
+    return _write(path, _csv(P2_HEADER, [series.t, series.p2]) if p2_text is None else p2_text)
 
 
 def write_matrix_txt(path, matrix: np.ndarray) -> str:

@@ -19,6 +19,7 @@ from qdrabi import (
     preset_config,
     rhs,
 )
+from qdrabi import dynamics
 from qdrabi.dynamics import _derivs, _phase_rates
 
 
@@ -238,10 +239,13 @@ class TestStepMatrixPropagator:
         assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
         assert np.abs(got.p2 - want.p2).max() <= 1e-12
 
-    def test_divergence_time_matches_reference(self):
+    def test_divergence_time_matches_reference(self, monkeypatch):
+        # the spectral-radius bound rejects this step before any step is
+        # taken; without it, the nonfinite-state check must match the reference
         spec = parse_config(
             "g_nl = 10\ndelta_a = 0\ndelta_b = 0\nlambda = 0\ng_a = 0\ng_b = 0\n"
             "initial = b\nt_end = 100000\nstep = 100\n").to_dynamics_spec()
+        monkeypatch.setattr(dynamics, "_MAX_GROWTH", math.inf)
         with pytest.raises(IntegrationDivergedError) as got:
             integrate(spec)
         with pytest.raises(IntegrationDivergedError) as want:
@@ -249,15 +253,39 @@ class TestStepMatrixPropagator:
         assert got.value.t_last == want.value.t_last
         assert str(got.value) == str(want.value)
 
-    def test_step_past_stability_limit_raises(self):
+    def test_step_past_stability_limit_raises(self, monkeypatch):
         # fig3 at step 1: RK4 is unstable, the norm grows ~1e9-fold but stays
-        # finite; t_last is the last sample at most twice the initial norm
+        # finite.  The spectral radius rejects the step before any step is
+        # taken; without that bound, the doubled-norm check still catches it at
+        # the last sample at most twice the initial norm
         spec = replace(preset_config("fig3"), step=1.0).to_dynamics_spec()
+        with pytest.raises(IntegrationDivergedError, match="spectral radius 1.57") as got:
+            integrate(spec)
+        assert got.value.t_last == spec.grid.t_start
         want = reference_integrate(spec)
         first = int(np.flatnonzero(want.norm > 2.0 * want.norm[0])[0])
-        with pytest.raises(IntegrationDivergedError, match="RK4 stability limit") as got:
+        monkeypatch.setattr(dynamics, "_MAX_GROWTH", math.inf)
+        with pytest.raises(IntegrationDivergedError, match="norm more than doubled") as got:
             integrate(spec)
         assert got.value.t_last == want.t[first - 1]
+
+    @pytest.mark.parametrize("step, t_end", [(0.94, 25.0), (0.94, 10.0), (0.95, 10.0)])
+    def test_spectral_radius_rejects_unstable_steps(self, monkeypatch, step, t_end):
+        spec = replace(preset_config("fig3"), step=step, t_end=t_end).to_dynamics_spec()
+        with pytest.raises(IntegrationDivergedError, match="RK4 stability limit") as got:
+            integrate(spec)
+        assert got.value.t_last == 0.0
+        # the norm never doubles (1.33 at step 0.94, 1.94 at 0.95), so the
+        # doubled-norm check alone lets these unstable steps end ok
+        monkeypatch.setattr(dynamics, "_MAX_GROWTH", math.inf)
+        assert integrate(spec).norm.max() < 2.0
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("step", [1e-5, 1e-3, 0.01])
+    def test_stable_steps_pass_the_bound(self, preset, step):
+        # the bound's headroom covers eigvals' rounding of rho ~ 1 over long windows
+        spec = replace(preset_config(preset), step=step).to_dynamics_spec()
+        assert len(integrate(spec)) == spec.grid.n_samples()
 
     def test_generator_is_covariant_under_time_shifts(self):
         # A(t) = R(t) A(0) R(t)^T, R(t) turning slot pairs by the rates the

@@ -440,7 +440,8 @@ class TestSweep:
         run_sweep(parse_config(text), tmp_path / "sweep", workers=workers)
         entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
         assert "point.point_000.error" not in entries
-        assert entries["point.point_001.error"].startswith("state became nonfinite between t=")
+        assert entries["point.point_001.error"].startswith(
+            "step 0.05 is past the RK4 stability limit: the step matrix's spectral radius ")
         point = parse_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
         assert entries["point.point_001.error"] == point["error"]
         assert point["t_final"] == "50"
@@ -620,8 +621,26 @@ class TestCli:
         entries = parse_manifest(tmp_path / "out" / "manifest.txt")
         assert entries["verb"] == verb
         assert entries["status"] == "diverged"
-        assert entries["t_last"] == "2"
+        assert entries["t_last"] == "0"  # rejected before the first step
         assert sorted(os.listdir(tmp_path / "out")) == ["manifest.txt"]
+        verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    @pytest.mark.parametrize("step, t_end, code", [
+        ("0.93", "25", EXIT_OK), ("0.94", "25", EXIT_NUMERIC), ("0.95", "10", EXIT_NUMERIC),
+    ])
+    def test_spectral_radius_rejects_unstable_steps(self, tmp_path, capsys, step, t_end, code):
+        # at 0.94 and 0.95 the norm stays below twice its start, so only the
+        # step matrix's spectral radius shows that RK4 is past its limit
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + f"step = {step}\nt_end = {t_end}\n")
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == code
+        entries = parse_manifest(tmp_path / "out" / "manifest.txt")
+        if code == EXIT_NUMERIC:
+            assert "spectral radius" in capsys.readouterr().err
+            assert entries["status"] == "diverged"
+            assert entries["error"].startswith(f"step {step} is past the RK4 stability limit")
+            assert entries["t_last"] == "0"
+        else:
+            assert entries["status"] == "ok"
         verify_manifest(tmp_path / "out" / "manifest.txt")
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])

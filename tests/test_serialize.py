@@ -133,6 +133,15 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(data[:, 13], short_series.p2)
         np.testing.assert_array_equal(data[:, 14], short_series.norm)
 
+    def test_p2_text_cut_from_the_trajectory(self, short_series, tmp_path):
+        # the text collected while writing the trajectory is the library writer's file
+        p2_text = []
+        write_timeseries_csv(tmp_path / "trajectory.csv", short_series, p2_text)
+        digest = write_p2_csv(tmp_path / "cut.csv", short_series, p2_text)
+        write_p2_csv(tmp_path / "p2.csv", short_series)
+        assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
+        assert digest == sha256_file(tmp_path / "p2.csv")
+
     def test_p2_file(self, short_series, tmp_path):
         path = tmp_path / "p2.csv"
         write_p2_csv(path, short_series)
@@ -339,6 +348,23 @@ class TestByteIdentity:
              + reference_rows(summary)).encode()
         assert file_digests(out, skip_manifests=True) == \
             file_digests(tmp_path / "rerun", skip_manifests=True)
+
+    def test_run_outputs(self, tmp_path):
+        # fig3's 2,501 samples span several trajectory blocks and a partial last one
+        text = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        series = integrate(parse_config(text).to_dynamics_spec())
+        assert len(series) == 2501 and len(series) % block_rows(15) != 0
+        assert len(series) > 2 * block_rows(15)
+        trajectory = (tmp_path / "out" / "trajectory.csv").read_bytes()
+        p2 = (tmp_path / "out" / "p2.csv").read_bytes()
+        assert trajectory == reference_timeseries_csv(series).encode()
+        assert p2 == reference_p2_csv(series).encode()
+        # p2.csv is the t and p2 fields of trajectory.csv, line for line
+        fields = [line.split(b",") for line in trajectory.splitlines()]
+        assert p2.splitlines() == [row[0] + b"," + row[13] for row in fields]
 
     @pytest.mark.parametrize("mode", ["restricted", "full"])
     def test_check_hamiltonian_dump(self, tmp_path, mode):
