@@ -42,143 +42,140 @@ def fmt(x) -> str:
     return str(x)
 
 
-# values formatted per `format_block` call: the byte grid and the work arrays
-# of one block take about a MB however many samples a run keeps, and each
-# call's fixed cost (~0.1 ms) stays small beside its per-value cost
+# values formatted per `format_block` call: a block's work arrays stay under a
+# MB; against 4096, a fig3 trajectory took 1.44x and 1.14x as long at 1024 and
+# 2048, 0.98x at 6144 but with page faults, and 1.07x and 1.4x at 8192 and 16384
 _BLOCK_VALUES = 4096
 
 # Exact 17-digit decimals by an error-free product (Dekker, Numer. Math. 18,
 # 1971): x * 10^k is split into hi + lo with hi = fl(x * 10^k), so the
-# correctly rounded integer is hi + rint(lo).  10^k for k <= 20 is exact.
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-_POW10 = 10.0 ** np.arange(21)
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+# correctly rounded integer is hi + rint(lo).  Clearing the low 27 significand
+# bits splits x into 26 + 27 bits and 10^k (k <= 20: 5^k has at most 47 bits)
+# into 26 + 21, so every partial product and sum below is exact.
+_SPLIT_MASK = 0xFFFFFFFFF8000000
+_TINY, _HUGE = (int(np.float64(v).view(np.uint64)) for v in (1e-4, 1e17))
+
+# The decimal exponent X in [-4, 16] of a value's `%g` text, as X + 4, from the
+# sign and exponent bits (the top 12) of the double: each binade has the row
+# of its lowest value, and holds at most one power of ten, which a value must
+# reach to take the next row.  Zeros take the row of X = 0.  The powers 1e-3
+# to 1e-1 parse to the doubles just above them, so each power here is the
+# smallest double at or above it.
+_POWERS = np.array([float(f"1e{m}") for m in range(-3, 17)])
+_LOW = np.append(np.ldexp(1.0, np.arange(-1022, 1024)), np.inf)  # binades 1..2047
+_LOW_ROW = np.searchsorted(_POWERS, _LOW, side="right")
+_NEXT = np.append(_POWERS, np.inf)[_LOW_ROW]
+_NEXT = np.tile(np.append(np.inf, np.where(_NEXT / 2 < _LOW, _NEXT, np.inf)), 2)
+_ROW = np.tile(np.append(4, _LOW_ROW), 2) + np.repeat([0, 357], 2048)  # + 357: minus sign
+_SCALE = np.resize(10.0 ** np.arange(20, -1, -1), 714)  # 10^(16 - X) by table index
 
 # the 10^4 four-digit groups as 4 ASCII bytes (first digit in the low byte),
-# and the number of trailing zeros of each group (4 for 0000)
-_GROUP = np.arange(10000, dtype=np.int16)[:, None]
-_GROUP_TEXT = ((_GROUP // np.array([1000, 100, 10, 1], dtype=np.int16) % 10 + ord("0"))
-               .astype(np.uint8).view("<u4").ravel().astype(np.uint64))
-_GROUP_ZEROS = (_GROUP % np.array([10, 100, 1000, 10000], dtype=np.int16) == 0).sum(axis=1)
+# and in the high 32 bits, signed, 21 times the position (1-4) of the
+# group's last nonzero digit, or -12 * 21 for 0000
+_GROUP = np.arange(10000)[:, None]
+_GROUP_LAST = np.where(_GROUP[:, 0] == 0, -12,
+                       4 - (_GROUP % np.array([10, 100, 1000, 10000]) == 0).sum(axis=1))
+_GROUP = ((_GROUP // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+          .view("<u4")[:, 0].astype(np.int64) | _GROUP_LAST * 21 << 32).view(np.uint64)
+
+# A value's text is laid out in the 32 byte columns of its cell: the lead
+# digit in column 7 and the other 16 digits as four groups in 8..23.  For the
+# decimal exponent X the digits before the point keep their columns (`_KEEP`),
+# the point goes at X + 8 and the digits after it, up to the last nonzero one,
+# move right by one (`_SHIFT`).  Below 1 (X < 0) the text starts at column
+# X + 7 with "0." and -X - 1 zeros, and a minus sign goes just before the
+# first column (`_FIXED`).  The tables are indexed 357 * sign + 21 * last +
+# X + 4, where last (0-16) is the position after the lead digit of the last
+# nonzero digit.  Bytes left 0 are dropped from the output.
+_COL, _LAST, _X = np.arange(32), np.arange(17)[:, None, None], np.arange(-4, 17)[:, None]
+_POINT = _X + 8
+_PLAIN = np.where((_COL == _POINT) & (_LAST > _X), ord("."),
+                  np.where((_X < 0) & (_COL >= _X + 7) & (_COL < 8), ord("0"), 0))
+_MINUS = np.where(_COL == np.minimum(_X, 0) + 6, ord("-"), _PLAIN)
+_KEEP, _SHIFT, _FIXED = (np.ascontiguousarray(np.broadcast_to(t, (2, 17, 21, 32)), dtype=np.uint8)
+                         .reshape(714, 32).view("<u8")
+                         for t in (((_COL >= 7) & (_COL < _POINT)) * 255,
+                                   ((_COL > _POINT) & (_COL >= 8) & (_COL <= _LAST + 8)) * 255,
+                                   np.stack(np.broadcast_arrays(_PLAIN, _MINUS))))
 
 
-def _words(rows):
-    """(k, 24) byte rows as three uint64 words each, shape (3, k); column j at bits 8j."""
-    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u8").astype(np.uint64).T.copy()
+def _digit_text(x):
+    """Table indexes (sign, X) of x, the `_GROUP` rows of its digits, and where `format` is needed.
 
-
-# A value's text is laid out in 24 byte columns.  The 17 digits are written to
-# columns 5..21; for the decimal exponent X in [-4, 16] (table row X + 4) the
-# columns before X + 6 keep them, the point goes at X + 6 and the columns after
-# it take the digits shifted right by one.  Below 1 (X < 0) the text starts
-# at column X + 5 with "0." and -X - 1 zeros; a minus sign goes just before
-# the first column.  Bytes left 0 are dropped from the output.
-_X = np.arange(-4, 17)[:, None]
-_COL = np.arange(24)
-_POINT = _X + 6
-_FIRST = np.minimum(_X + 5, 5)
-_KEEP = _words(np.where(_COL < _POINT, 255, 0))
-_SHIFT = _words(np.where(_COL > _POINT, 255, 0))
-_PLAIN = np.where(_COL == _POINT, ord("."),
-                  np.where((_X < 0) & (_COL >= _FIRST) & (_COL < 6), ord("0"), 0))
-_MINUS = np.where(_COL == _FIRST - 1, ord("-"), _PLAIN)
-_FIXED = _words(np.stack([_PLAIN, _MINUS], axis=1).reshape(-1, 24))  # row 2 * (X + 4) + sign
-_BEFORE = _words(np.where(_COL < np.arange(25)[:, None], 255, 0))  # row e keeps columns < e
-_ZERO = np.frombuffer(b"0\0\0\0\0\0\0\0-0\0\0\0\0\0\0", dtype="<u8")  # +0.0, -0.0
-
-
-def _scaled(a, k):
-    """a * 10^k as an exact double-double (hi, lo)."""
-    hi = a * _POW10[k]
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _fixed_words(x) -> np.ndarray:
-    """The `%.17g` text of values with |x| in [1e-4, 1e17), as 24 bytes in three words each.
-
-    The 17 significant digits are the correctly rounded integer of
-    |x| * 10^(16 - X) for the decimal exponent X, computed exactly as a
-    double-double; the text is then laid out from the tables above.
+    The 17 digits are the correctly rounded integer of |x| * 10^(16 - X), in
+    [10^16, 10^17) for |x| in [1e-4, 1e17).  hi >= 1e16 is an even integer,
+    so rint's half-even on lo is half-even on the sum.  No double here rounds
+    up to 10^17: that needs one within 5e-18 (relative) below a power of ten,
+    and the doubles below each threshold lie further from it.
     """
     a = np.abs(x)
-    # decimal exponent from log10, corrected by one where it missed the decade
-    exp10 = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
-    hi, lo = _scaled(a, 16 - exp10)
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-    if low.any() or high.any():
-        exp10 += high
-        exp10 -= low
-        hi, lo = _scaled(a, 16 - exp10)
-    # hi >= 1e16 is an even integer, so rint's half-even on lo is half-even on
-    # the sum.  No double here rounds up to 10^17: that needs one within 5e-18
-    # (relative) below a power of ten, and the powers from 1e-4 to 1e16 are
-    # exact or have their nearest double above them.
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    bits = a.view(np.uint64)
+    other = np.flatnonzero((bits - 1 < _TINY - 1) | (bits >= _HUGE))  # nonzero, not fixed
+    np.fmin(a, 1e17, out=a)
+    top = x.view(np.uint64) >> 52
+    index = np.take(_ROW, top) + (a >= np.take(_NEXT, top))
+    scale = np.take(_SCALE, index)
+    hi = a * scale
+    a_hi = (bits & _SPLIT_MASK).view(np.float64)
+    a_lo = a - a_hi
+    s_hi = (scale.view(np.uint64) & _SPLIT_MASK).view(np.float64)
+    s_lo = scale - s_hi
+    lo = a_hi * s_hi - hi
+    lo += a_hi * s_lo
+    lo += a_lo * s_hi
+    lo += a_lo * s_lo
+    digits = hi.astype(np.int64)
+    digits += np.rint(lo, out=lo).astype(np.int64)
+    return index, np.take(_GROUP, _groups(digits)), other
 
-    lead = digits // 10 ** 16
-    rest = digits - lead * 10 ** 16
-    top, bottom = rest // 10 ** 8, rest % 10 ** 8
-    groups = (top // 10000, top % 10000, bottom // 10000, bottom % 10000)
 
-    # trailing zeros after the point are dropped, and the point with them
-    zeros = _GROUP_ZEROS[groups[3]]
-    run = groups[3] == 0
-    for g in groups[2::-1]:
-        zeros += run * _GROUP_ZEROS[g]
-        run &= g == 0
-    frac = 16 - exp10
-    trim = np.minimum(zeros, frac)
-    end = 23 - trim - (trim == frac)
-
-    # the 17 digits in columns 5..21 as three words
-    text = [_GROUP_TEXT[g] for g in groups]
-    w0 = ((lead + ord("0")).astype(np.uint64) << 40) | (text[0] << 48)
-    w1 = (text[0] >> 16) | (text[1] << 16) | (text[2] << 48)
-    w2 = (text[2] >> 16) | (text[3] << 16)
-    row = exp10 + 4
-    fixed_row = 2 * row + np.signbit(x)
-    words = np.empty((len(x), 3), dtype=np.uint64)
-    for w, word, shifted in ((0, w0, w0 << 8),
-                             (1, w1, (w1 << 8) | (w0 >> 56)),
-                             (2, w2, (w2 << 8) | (w1 >> 56))):
-        words[:, w] = (((word & _KEEP[w][row]) | (shifted & _SHIFT[w][row])
-                        | _FIXED[w][fixed_row]) & _BEFORE[w][end])
-    return words
+def _groups(digits):
+    """Rows g0, g2, g1, g3 (the 4-digit groups after the lead digit) and the lead digit, int32."""
+    top = digits // 10 ** 8
+    groups = np.empty((5, digits.size), dtype=np.int32)
+    halves = groups[2:4]
+    halves[0] = top
+    np.subtract(digits, top * 10 ** 8, out=halves[1], casting="unsafe")
+    quotients = np.floor_divide(halves, 10 ** 4, out=groups[:2])
+    halves -= quotients * 10 ** 4
+    np.floor_divide(quotients[0], 10 ** 4, out=groups[4])
+    quotients[0] -= groups[4] * 10 ** 4
+    return groups
 
 
 def _word_grid(block, seps: bytes) -> np.ndarray:
     """The text of a 2-D float block as a (rows, width, 4) grid of uint64 words.
 
-    Each value takes 32 bytes: its `format(x, ".17g")` text in the first 24,
-    padded with 0 bytes, then its column's separator byte from `seps`, which
-    holds one per column.  Values whose `%.17g` form is fixed notation (|x| in
-    [1e-4, 1e17)) are converted in numpy by `_fixed_words`, zeros are written
-    as "0" or "-0", and nan, inf, subnormals and exponent-notation magnitudes
-    fall back to `format`.
+    Each value takes 32 bytes: its `format(x, ".17g")` text padded with 0
+    bytes, and in the last its column's separator (`seps` holds one per
+    column).  Fixed-notation values (|x| in [1e-4, 1e17)) and zeros are laid
+    out by the tables above; nan, inf, subnormals and exponent-notation
+    magnitudes fall back to `format`.
     """
     n_rows, width = block.shape
-    x = block.ravel()
-    a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e17)
-    zero = a == 0.0
-    out = np.zeros((len(x), 4), dtype="<u8")
-    out[:, :3][fixed] = _fixed_words(x[fixed])
-    out[zero, 0] = _ZERO[np.signbit(x[zero]).astype(np.intp)]
-    grid = out.reshape(n_rows, width, 4)
-    grid[:, :, 3] = np.frombuffer(seps, dtype=np.uint8)
-
-    other = np.flatnonzero(~(fixed | zero))
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    index, text, other = _digit_text(x)
+    last = text.view(np.int32)[:4, 1::2]  # the high halves of rows g0, g2 | g1, g3
+    last = np.maximum(last[:2], last[2:] + 4 * 21)
+    index += np.maximum(last[0], last[1] + 8 * 21)
+    # the digits unshifted in `cells`, and shifted right by one byte in `shifted`
+    buf = np.empty(4 * x.size + 1, dtype=np.uint64)
+    cells = buf[1:].reshape(-1, 4)
+    for row, column in enumerate((2, 4, 3, 5, 1)):  # 4-byte columns g0, g2, g1, g3, lead (byte 7)
+        cells.view(np.uint32)[:, column] = text[row]
+    del text  # before the layout allocates: a lower peak per block takes fewer page faults
+    shifted = buf.view(np.uint8)[7:-1].view(np.uint64).reshape(-1, 4)
+    out = np.take(_KEEP, index, axis=0)
+    out &= cells
+    part = np.take(_SHIFT, index, axis=0)
+    part &= shifted
+    out |= part
+    out |= np.take(_FIXED, index, axis=0)
     if other.size:
-        spelled = b"".join(format(v, ".17g").encode().ljust(24, b"\0")
-                           for v in x[other].tolist())
-        out.view(np.uint8)[other, :24] = np.frombuffer(spelled, dtype=np.uint8).reshape(-1, 24)
-    return grid
+        spelled = b"".join(format(v, ".17g").encode().ljust(31, b"\0") for v in x[other].tolist())
+        out.view(np.uint8)[other, :31] = np.frombuffer(spelled, dtype=np.uint8).reshape(-1, 31)
+    out.view(np.uint8).reshape(n_rows, width, 32)[:, :, 31] = np.frombuffer(seps, dtype=np.uint8)
+    return out.reshape(n_rows, width, 4)
 
 
 def _text(grid) -> bytes:
@@ -243,7 +240,7 @@ def write_timeseries_csv(path, series: TimeSeries, p2_text: list | None = None) 
         for grid in _grids(columns, _csv_seps(CSV_HEADER)):
             if p2_text is not None:
                 pair = grid.take(_P2_FIELDS, axis=1)
-                pair[:, -1, 3] = ord("\n")
+                pair.view(np.uint8)[:, -1, 31] = ord("\n")
                 p2_text.append(_text(pair))
             yield _text(grid)
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,18 @@ def decade_edges(ulps=64):
         near += [power - down * np.arange(1, ulps + 1), power + up * np.arange(ulps)]
     near = np.concatenate(near)
     return np.concatenate([near, -near])
+
+
+def seeded_values():
+    """About a million values: uniform in (-1, 1), signed powers of ten to 1e18, random bits."""
+    rng = np.random.default_rng(20190723)
+    n = 350_000
+    sign = rng.choice([-1.0, 1.0], n)
+    return np.concatenate([
+        rng.uniform(-1.0, 1.0, n),
+        sign * 10.0 ** rng.uniform(-8.0, 18.0, n),
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),
+    ])
 
 
 EDGE_VALUES = [
@@ -203,15 +219,36 @@ class TestKernelExactness:
         assert kernel_text(data) == reference_rows(data[:, None])
 
     def test_a_million_seeded_values(self):
-        rng = np.random.default_rng(20190723)
-        n = 350_000
-        sign = rng.choice([-1.0, 1.0], n)
-        data = np.concatenate([
-            rng.uniform(-1.0, 1.0, n),
-            sign * 10.0 ** rng.uniform(-8.0, 18.0, n),
-            rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(float),
-        ])
+        data = seeded_values()
         assert_same_text(kernel_text(data, width=15), reference_rows(data.reshape(-1, 15)))
+
+    def test_blocks_without_zeros(self):
+        # a quarter of a trajectory's values are exact zeros; here every value of the
+        # writer's blocks of a 15-column file takes the digit path (or the fallback)
+        data = seeded_values()[::28].reshape(-1, 15)
+        assert len(data) > 2 * block_rows(15) and np.all(data != 0.0)
+        assert_same_text(block_text(data), reference_rows(data))
+
+    def test_text_does_not_depend_on_simd_dispatch(self):
+        # numpy picks SIMD kernels for the host CPU at run time; with every feature it can
+        # dispatch to turned off, the text must still equal format()'s
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+        if not __cpu_dispatch__:
+            pytest.skip("numpy dispatches no SIMD features on this host")
+        script = (
+            "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+            "from test_serialize import (assert_same_text, block_text, decade_edges,\n"
+            "                            reference_rows, seeded_values)\n"
+            "assert not any(__cpu_features__[name] for name in __cpu_dispatch__)\n"
+            "for data in (decade_edges(), seeded_values()):\n"
+            "    assert_same_text(block_text(data[:, None]), reference_rows(data[:, None]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+                   PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=600, check=False)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_decade_edges(self):
         data = decade_edges()
