@@ -72,11 +72,11 @@ _SCALE = np.resize(10.0 ** np.arange(20, -1, -1), 714)  # 10^(16 - X) by table i
 # the 10^4 four-digit groups as 4 ASCII bytes (first digit in the low byte),
 # and in the high 32 bits, signed, 21 times the position (1-4) of the
 # group's last nonzero digit, or -12 * 21 for 0000
-_GROUP = np.arange(10000)[:, None]
-_GROUP_LAST = np.where(_GROUP[:, 0] == 0, -12,
-                       4 - (_GROUP % np.array([10, 100, 1000, 10000]) == 0).sum(axis=1))
-_GROUP = ((_GROUP // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-          .view("<u4")[:, 0].astype(np.int64) | _GROUP_LAST * 21 << 32).view(np.uint64)
+_GROUP = np.arange(10000)
+_GROUP = np.stack([_GROUP // 1000, _GROUP // 100 % 10, _GROUP // 10 % 10, _GROUP % 10], axis=1)
+_GROUP_LAST = np.select(_GROUP.T[::-1] > 0, [4, 3, 2, 1], -12)
+_GROUP = ((_GROUP + ord("0")).astype(np.uint8).view("<u4")[:, 0].astype(np.int64)
+          | _GROUP_LAST * 21 << 32).view(np.uint64)
 
 # A value's text is laid out in the 32 byte columns of its cell: the lead
 # digit in column 7 and the other 16 digits as four groups in 8..23.  For the

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from qdrabi.cli import EXIT_OK, main
 from qdrabi.oracle import build_hamiltonian
 from qdrabi.serialize import (
     _BLOCK_VALUES,
+    _POWERS,
     CSV_HEADER,
     _rows,
     format_block,
@@ -249,6 +251,12 @@ class TestKernelExactness:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=600, check=False)
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def test_decade_thresholds(self):
+        # a value takes the next decade's row once it reaches the smallest double at or
+        # above that power of ten
+        for m, power in zip(range(-3, 17), _POWERS):
+            assert Fraction(power) >= Fraction(10) ** m > Fraction(np.nextafter(power, 0.0))
 
     def test_decade_edges(self):
         data = decade_edges()
