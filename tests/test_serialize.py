@@ -106,6 +106,15 @@ def seeded_values():
     ])
 
 
+def cpu_dispatch():
+    """The SIMD features numpy can dispatch to at run time, and which of all features are on."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
 EDGE_VALUES = [
     # %g's fixed-notation range is [1e-4, 1e17) after rounding to 17 digits
     1e-4, np.nextafter(1e-4, 0.0), -np.nextafter(1e-4, 0.0), 1e17, np.nextafter(1e17, 0.0),
@@ -234,19 +243,19 @@ class TestKernelExactness:
     def test_text_does_not_depend_on_simd_dispatch(self):
         # numpy picks SIMD kernels for the host CPU at run time; with every feature it can
         # dispatch to turned off, the text must still equal format()'s
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-        if not __cpu_dispatch__:
+        dispatch = cpu_dispatch()[0]
+        if not dispatch:
             pytest.skip("numpy dispatches no SIMD features on this host")
         script = (
-            "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
-            "from test_serialize import (assert_same_text, block_text, decade_edges,\n"
-            "                            reference_rows, seeded_values)\n"
-            "assert not any(__cpu_features__[name] for name in __cpu_dispatch__)\n"
+            "from test_serialize import (assert_same_text, block_text, cpu_dispatch,\n"
+            "                            decade_edges, reference_rows, seeded_values)\n"
+            "dispatch, features = cpu_dispatch()\n"
+            "assert not any(features[name] for name in dispatch)\n"
             "for data in (decade_edges(), seeded_values()):\n"
             "    assert_same_text(block_text(data[:, None]), reference_rows(data[:, None]))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch),
                    PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=600, check=False)
