@@ -8,6 +8,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qdrabi",
                      description="Rabi oscillations of a quantum dot in a chi(2) microcavity")

@@ -42,7 +42,7 @@ def fmt(x) -> str:
     return str(x)
 
 
-# values formatted per `format_block` call: a block's work arrays stay under a
+# values formatted per `_word_grid` call: a block's work arrays stay under a
 # MB; against 4096, a fig3 trajectory took 1.44x and 1.14x as long at 1024 and
 # 2048, 0.98x at 6144 but with page faults, and 1.07x and 1.4x at 8192 and 16384
 _BLOCK_VALUES = 4096
@@ -187,9 +187,9 @@ def format_block(block, seps: bytes) -> bytes:
     """The text of a 2-D float block, each value as `format(x, ".17g")` plus a separator.
 
     `seps` holds one separator byte per column, written after each value of
-    that column.
+    that column.  The rows are formatted a block at a time, as the writers do.
     """
-    return _text(_word_grid(block, seps))
+    return b"".join(_rows([block], seps)) if block.size else b""
 
 
 def _write(path, chunks) -> str:

@@ -894,6 +894,54 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}],
         assert freqs[1.0] / freqs[0.0] == pytest.approx(math.exp(-0.5), abs=1e-3)
 
 
+class TestParserReuse:
+    """`main` builds its parser on the first call; no call leaks state into a later one."""
+
+    def test_parser_is_built_once(self):
+        assert qdrabi.cli._build_parser() is qdrabi.cli._build_parser()
+
+    def test_oracle_flag_does_not_stick(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", cfg_path, "--out", str(first), "--oracle"]) == EXIT_OK
+        assert main(["run", cfg_path, "--out", str(second)]) == EXIT_OK
+        capsys.readouterr()
+        assert parse_manifest(first / "manifest.txt")["param.oracle"] == "true"
+        assert parse_manifest(second / "manifest.txt")["param.oracle"] == "false"
+
+    def test_dump_flag_does_not_stick(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["check", cfg_path, "--out", str(first), "--dump-hamiltonian"]) == EXIT_OK
+        assert main(["check", cfg_path, "--out", str(second)]) == EXIT_OK
+        capsys.readouterr()
+        assert (first / "hamiltonian.txt").exists()
+        assert not (second / "hamiltonian.txt").exists()
+
+    def test_usage_error_then_preset_equals_a_first_call(self, tmp_path, capsys):
+        # the first call of a fresh process against a call after a usage error
+        src = str(Path(qdrabi.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        subprocess.run([sys.executable, "-m", "qdrabi", "preset", "fig3", "--out", str(fresh)],
+                       env=env, capture_output=True, check=True, timeout=60)
+        assert main(["preset", "fig9"]) == EXIT_USAGE
+        assert main(["preset", "fig3", "--out", str(reused)]) == EXIT_OK
+        capsys.readouterr()
+        assert (fresh / "trajectory.csv").read_bytes() == (reused / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: qdrabi [-h]"),
+        (["run", "--help"], "usage: qdrabi run [-h]"),
+    ], ids=["main", "run"])
+    def test_help_exits_0_and_a_run_follows(self, tmp_path, capsys, argv, usage):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith(usage)
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST)
+        assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "status: ok" in capsys.readouterr().out
+
+
 # config values of every kind: in range, out of range, not a number, huge.
 # In-range magnitudes stay >= 1e-3 so a drawn step keeps a run short; a
 # smaller step comes only as 1e-308, which the step limit rejects.

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -128,6 +129,8 @@ EDGE_VALUES = [
     0.5, 25.0, 1e16, 100.0, 0.25, 1234.5, 1e-4 * 3, 12345678901234567.0,
     0.0, -0.0, float("nan"), float("inf"), float("-inf"),
     5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-310,
+    # the longest texts: 24 characters, so a value and its separator need 25 bytes
+    -2.2250738585072014e-308, -1.2345678901234567e+300,
 ]
 
 
@@ -232,6 +235,26 @@ class TestKernelExactness:
     def test_a_million_seeded_values(self):
         data = seeded_values()
         assert_same_text(kernel_text(data, width=15), reference_rows(data.reshape(-1, 15)))
+
+    def test_memory_is_bounded_by_the_text(self):
+        # the rows are formatted a block at a time, so the work arrays do not grow
+        # with the input: the peak is the text's chunks and their join
+        data = seeded_values().reshape(-1, 15)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = format_block(data, csv_seps(15))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3 * len(text)
+
+    def test_empty_blocks(self):
+        assert format_block(np.empty((3, 0)), b"") == b""
+        assert format_block(np.empty((0, 3)), csv_seps(3)) == b""
 
     def test_blocks_without_zeros(self):
         # a quarter of a trajectory's values are exact zeros; here every value of the
