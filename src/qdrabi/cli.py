@@ -92,9 +92,7 @@ def _build_parser() -> _Parser:
 def _report(outcome):
     print(f"status: {outcome.status}")
     if outcome.summary:
-        drift = outcome.summary.get("max_norm_drift")
-        if drift is not None:
-            print(f"max norm drift: {fmt(drift)}")
+        print(f"max norm drift: {fmt(outcome.summary['max_norm_drift'])}")
     if outcome.deviation is not None:
         print(f"oracle deviation: {fmt(outcome.deviation)} (leakage {fmt(outcome.max_leakage)})")
     print(f"outputs in {outcome.out_dir}")

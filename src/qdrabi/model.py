@@ -134,16 +134,15 @@ class ModelParams:
 class MaterialConstants:
     """SI-unit inputs for the second-order-susceptibility coupling.
 
-    chi2 in m/V, eps_r dimensionless, eps0 in F/m, vol_r in m^3.  vol_r is
-    the effective overlap volume defined by the normalized mode profile
-    (1/sqrt(vol_r) equals the cubed-profile integral over the nonlinear
-    region); it is an input here, never computed.
+    chi2 in m/V, eps_r dimensionless, vol_r in m^3.  vol_r is the effective
+    overlap volume defined by the normalized mode profile (1/sqrt(vol_r)
+    equals the cubed-profile integral over the nonlinear region); it is an
+    input here, never computed.
     """
 
     chi2: float
     eps_r: float
     vol_r: float
-    eps0: float = EPSILON_0
 
     def __post_init__(self):
         if not self.eps_r > 0.0:
@@ -156,11 +155,12 @@ def gnl_from_material(mat: MaterialConstants, omega_a: float) -> float:
     """Two-mode nonlinear coupling rate from material constants.
 
     Evaluates eps0 * (hbar*omega_a / (eps0*eps_r))^(3/2) * chi2 / sqrt(vol_r),
-    divided by hbar.  With SI inputs (omega_a in rad/s) the result is in
-    rad/s; the dynamics modules expect it rescaled by the caller's reference
-    rate.  Linear in chi2, scales as omega_a^(3/2) and vol_r^(-1/2).
+    divided by hbar, with eps0 the vacuum permittivity.  With SI inputs
+    (omega_a in rad/s) the result is in rad/s; the dynamics modules expect it
+    rescaled by the caller's reference rate.  Linear in chi2, scales as
+    omega_a^(3/2) and vol_r^(-1/2).
     """
     if not omega_a > 0.0:
         raise ValueError(f"mode frequency must be > 0, got {omega_a!r}")
-    photon_energy_term = (HBAR * omega_a / (mat.eps0 * mat.eps_r)) ** 1.5
-    return mat.eps0 * photon_energy_term * mat.chi2 / math.sqrt(mat.vol_r) / HBAR
+    photon_energy_term = (HBAR * omega_a / (EPSILON_0 * mat.eps_r)) ** 1.5
+    return EPSILON_0 * photon_energy_term * mat.chi2 / math.sqrt(mat.vol_r) / HBAR

@@ -117,9 +117,11 @@ def run_single(
     out_dir,
     dump_hamiltonian: bool = False,
     verb: str = "run",
-    write_trajectory: bool = True,
 ) -> RunOutcome:
-    """Integrate one configuration and write its artifacts; the manifest goes last."""
+    """Integrate one configuration and write its artifacts; the manifest goes last.
+
+    The trajectory files are written for every verb but `check`.
+    """
     spec = config.to_dynamics_spec()  # bad grids and cutoffs fail here, before any output
     cutoffs = _cutoffs(config)
     out_dir = Path(out_dir)
@@ -138,12 +140,11 @@ def run_single(
     phases["integrate"] = time.perf_counter() - started
 
     if series is not None:
-        if write_trajectory:
+        if verb != "check":
             mark = time.perf_counter()
-            p2_text = []  # p2.csv is cut from the trajectory's formatted t and p2 fields
-            files["trajectory.csv"] = write_timeseries_csv(out_dir / "trajectory.csv", series,
-                                                           p2_text)
-            files["p2.csv"] = write_p2_csv(out_dir / "p2.csv", series, p2_text)
+            files["trajectory.csv"], p2_text = write_timeseries_csv(out_dir / "trajectory.csv",
+                                                                    series)
+            files["p2.csv"] = write_p2_csv(out_dir / "p2.csv", p2_text)
             files["resolved_config.txt"] = write_lines(out_dir / "resolved_config.txt",
                                                        write_config(config).splitlines())
             phases["write"] = time.perf_counter() - mark
@@ -189,7 +190,7 @@ def run_single(
 def oracle_check(config: RunConfig, out_dir, dump_hamiltonian: bool = False) -> RunOutcome:
     """The `check` verb: a run validated against the Fock oracle, with no trajectory files."""
     return run_single(override(config, oracle=True), out_dir, dump_hamiltonian=dump_hamiltonian,
-                      verb="check", write_trajectory=False)
+                      verb="check")
 
 
 def _sweep_point(job):

@@ -29,6 +29,8 @@ __all__ = [
 
 CSV_HEADER = "t," + ",".join(AMPLITUDE_COLUMNS) + ",p2,norm"
 P2_HEADER = "t,p2"
+# a comma after each field of a trajectory row and a LF after its last
+_CSV_SEPS = b"," * CSV_HEADER.count(",") + b"\n"
 # the trajectory fields that p2.csv repeats
 _P2_FIELDS = [CSV_HEADER.split(",").index(name) for name in P2_HEADER.split(",")]
 
@@ -214,42 +216,28 @@ def _rows(columns, seps: bytes):
     return map(_text, _grids(columns, seps))
 
 
-def _csv_seps(header: str) -> bytes:
-    """A comma after each field of a row and a LF after its last."""
-    return b"," * header.count(",") + b"\n"
-
-
-def _csv(header: str, columns):
-    """A header line, then one comma-separated row per sample, one value per header name."""
-    yield header.encode() + b"\n"
-    yield from _rows(columns, _csv_seps(header))
-
-
-def write_timeseries_csv(path, series: TimeSeries, p2_text: list | None = None) -> str:
+def write_timeseries_csv(path, series: TimeSeries) -> tuple[str, bytes]:
     """Full trajectory: t, the 12 real amplitudes, excited population, norm.
 
-    Given a list as `p2_text`, appends the text of p2.csv to it, cut from
-    the words formatted here (each row's t and p2 fields), so that
-    `write_p2_csv(path, series, p2_text)` writes it without formatting again.
+    Returns the file's SHA-256 and the text of p2.csv, cut from the words
+    formatted here (each row's t and p2 fields), for `write_p2_csv`.
     """
+    p2_text = [P2_HEADER.encode() + b"\n"]
+
     def chunks():
         yield CSV_HEADER.encode() + b"\n"
-        if p2_text is not None:
-            p2_text.append(P2_HEADER.encode() + b"\n")
-        columns = [series.t, series.amplitudes, series.p2, series.norm]
-        for grid in _grids(columns, _csv_seps(CSV_HEADER)):
-            if p2_text is not None:
-                pair = grid.take(_P2_FIELDS, axis=1)
-                pair.view(np.uint8)[:, -1, 31] = ord("\n")
-                p2_text.append(_text(pair))
+        for grid in _grids([series.t, series.amplitudes, series.p2, series.norm], _CSV_SEPS):
+            pair = grid.take(_P2_FIELDS, axis=1)
+            pair.view(np.uint8)[:, -1, 31] = ord("\n")
+            p2_text.append(_text(pair))
             yield _text(grid)
 
-    return _write(path, chunks())
+    return _write(path, chunks()), b"".join(p2_text)
 
 
-def write_p2_csv(path, series: TimeSeries, p2_text: list | None = None) -> str:
-    """Two-column plot file: t, p2; the text `write_timeseries_csv` cut for it, if given."""
-    return _write(path, _csv(P2_HEADER, [series.t, series.p2]) if p2_text is None else p2_text)
+def write_p2_csv(path, p2_text: bytes) -> str:
+    """Two-column plot file: t, p2; writes the text `write_timeseries_csv` cut for it."""
+    return _write(path, [p2_text])
 
 
 def write_matrix_txt(path, matrix: np.ndarray) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdrabi import integrate, parse_config, preset_config
+from qdrabi import integrate, parse_config, preset_config, write_config
 from qdrabi.cli import EXIT_OK, main
 from qdrabi.oracle import build_hamiltonian
 from qdrabi.serialize import (
@@ -164,17 +164,15 @@ class TestTrajectoryCsv:
         np.testing.assert_array_equal(data[:, 14], short_series.norm)
 
     def test_p2_text_cut_from_the_trajectory(self, short_series, tmp_path):
-        # the text collected while writing the trajectory is the library writer's file
-        p2_text = []
-        write_timeseries_csv(tmp_path / "trajectory.csv", short_series, p2_text)
-        digest = write_p2_csv(tmp_path / "cut.csv", short_series, p2_text)
-        write_p2_csv(tmp_path / "p2.csv", short_series)
-        assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
+        # the text cut while writing the trajectory is the per-value reference's file
+        _, p2_text = write_timeseries_csv(tmp_path / "trajectory.csv", short_series)
+        digest = write_p2_csv(tmp_path / "p2.csv", p2_text)
+        assert (tmp_path / "p2.csv").read_bytes() == reference_p2_csv(short_series).encode()
         assert digest == sha256_file(tmp_path / "p2.csv")
 
     def test_p2_file(self, short_series, tmp_path):
         path = tmp_path / "p2.csv"
-        write_p2_csv(path, short_series)
+        write_p2_csv(path, write_timeseries_csv(tmp_path / "trajectory.csv", short_series)[1])
         lines = path.read_text().splitlines()
         assert lines[0] == "t,p2"
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
@@ -378,8 +376,9 @@ def _complex_matrix():
 
 # each writer, the CSV and matrix ones with inputs of several row blocks
 WRITERS = {
-    "timeseries_csv": lambda path: write_timeseries_csv(path, _fig3_series()),
-    "p2_csv": lambda path: write_p2_csv(path, _fig3_series()),
+    "timeseries_csv": lambda path: write_timeseries_csv(path, _fig3_series())[0],
+    "p2_csv": lambda path: write_p2_csv(
+        path, write_timeseries_csv(path.with_name("trajectory.csv"), _fig3_series())[1]),
     "matrix_txt": lambda path: write_matrix_txt(path, _complex_matrix()),
     "lines": lambda path: write_lines(path, ["a = 1", "b = \u00e9"] * 3000),
     "manifest": lambda path: write_manifest(path, [("status", "ok")], {"a.csv": "0" * 64}),
@@ -427,9 +426,10 @@ class TestByteIdentity:
         assert file_digests(out, skip_manifests=True) == \
             file_digests(tmp_path / "rerun", skip_manifests=True)
 
-    def test_run_outputs(self, tmp_path):
-        # fig3's 2,501 samples span several trajectory blocks and a partial last one
-        text = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
+    @pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5"])
+    def test_run_outputs(self, tmp_path, fig):
+        # a preset's 2,501 samples span several trajectory blocks and a partial last one
+        text = write_config(preset_config(fig))
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
