@@ -23,8 +23,6 @@ from .errors import (
 from .model import (
     MaterialConstants,
     ModelParams,
-    PhononMode,
-    PhononSpectrum,
     detunings,
     dressed_coupling,
     gnl_from_material,
@@ -69,8 +67,8 @@ from .serialize import verify_manifest
 __all__ = [
     "__version__",
     "ConfigError", "GridMismatchError", "IntegrationDivergedError", "InvalidSpectrumError",
-    "MaterialConstants", "ModelParams", "PhononMode", "PhononSpectrum",
-    "detunings", "dressed_coupling", "gnl_from_material", "huang_rhys", "polaron_shift",
+    "MaterialConstants", "ModelParams", "detunings", "dressed_coupling", "gnl_from_material",
+    "huang_rhys", "polaron_shift",
     "DynamicsSpec", "ManifoldAmplitudes", "ManifoldIndex", "TimeGrid", "TimeSeries",
     "integrate", "jc_baseline", "nl_block_baseline", "rhs",
     "BasisState", "FockOperatorMatrix", "OracleResult", "build_hamiltonian", "compare",

@@ -25,13 +25,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 from .dynamics import SLOTS, DynamicsSpec, ManifoldAmplitudes, ManifoldIndex, TimeGrid
 from .errors import ConfigError, InvalidSpectrumError
-from .model import (
-    ModelParams,
-    PhononSpectrum,
-    detunings,
-    huang_rhys,
-    polaron_shift,
-)
+from .model import ModelParams, detunings, huang_rhys, polaron_shift
 from .serialize import fmt
 
 __all__ = [
@@ -107,9 +101,7 @@ class RunConfig:
     @property
     def shift(self) -> float:
         """Polaron shift of `phonon_modes`; 0 without a spectrum."""
-        if not self.phonon_modes:
-            return 0.0
-        return polaron_shift(PhononSpectrum.from_pairs(self.phonon_modes))
+        return polaron_shift(self.phonon_modes)
 
     def entries(self):
         """(key, value) for each set [run] key in manifest order.
@@ -144,7 +136,7 @@ class RunConfig:
         MAX_ROWS samples.
         """
         try:
-            grid = TimeGrid(t_start=self.t_start, t_end=self.t_end, step=self.step)
+            grid = TimeGrid(self.t_start, self.t_end, self.step, sample_every=1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         steps = (grid.t_end - grid.t_start) / grid.step  # may be inf, which n_steps() cannot round
@@ -360,11 +352,10 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
         text, lineno = run["phonon_modes"]
         spectrum_pairs = _parse_modes(text, lineno)
         try:
-            spectrum = PhononSpectrum.from_pairs(spectrum_pairs)
+            shift = polaron_shift(spectrum_pairs)
         except InvalidSpectrumError as exc:
             raise ConfigError(str(exc), line=lineno) from exc
-        shift = polaron_shift(spectrum)
-        lam_from_spectrum = huang_rhys(spectrum)
+        lam_from_spectrum = huang_rhys(spectrum_pairs)
         if not (math.isfinite(shift) and math.isfinite(lam_from_spectrum)):
             raise ConfigError(
                 f"phonon_modes give a Huang-Rhys factor of {fmt(lam_from_spectrum)} and "
@@ -385,6 +376,13 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
         omega_a = _parse_float("omega_a", *run["omega_a"])
         omega_ex = _parse_float("omega_ex", *run["omega_ex"])
         values["delta_a"], values["delta_b"] = detunings(omega_ex, omega_a, shift)
+        if not (math.isfinite(values["delta_a"]) and math.isfinite(values["delta_b"])):
+            raise ConfigError(
+                f"omega_a = {fmt(omega_a)} and omega_ex = {fmt(omega_ex)} give detunings "
+                f"delta_a = {fmt(values['delta_a'])} and delta_b = {fmt(values['delta_b'])}; "
+                f"both must be finite",
+                line=run["omega_a"][1],
+            )
 
     return RunConfig(phonon_modes=spectrum_pairs, defaulted=defaulted, **values)
 
@@ -525,8 +523,7 @@ def override(config, step: float | None = None, oracle: bool = False):
 def write_config(config) -> str:
     """Canonical text form; parsing it back reproduces every float exactly."""
     base = config.base if isinstance(config, SweepConfig) else config
-    spectrum_lam = (huang_rhys(PhononSpectrum.from_pairs(base.phonon_modes))
-                    if base.phonon_modes else None)
+    spectrum_lam = huang_rhys(base.phonon_modes) if base.phonon_modes else None
     lines = ["[run]"]
     for key, value in base.entries():
         # lambda is written only when the spectrum cannot reproduce it, so a

@@ -135,10 +135,10 @@ class TimeGrid:
     rounds to at least one step: one of at most half a step is rejected.
     """
 
-    t_start: float = 0.0
-    t_end: float = 25.0
-    step: float = 1e-3
-    sample_every: int = 10
+    t_start: float
+    t_end: float
+    step: float
+    sample_every: int
 
     def __post_init__(self):
         if self.step == 0.0 or not math.isfinite(self.step):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .errors import InvalidSpectrumError
 
 __all__ = [
-    "PhononMode",
-    "PhononSpectrum",
     "ModelParams",
     "MaterialConstants",
     "polaron_shift",
@@ -31,44 +29,33 @@ EPSILON_0 = 8.8541878188e-12
 HBAR = 6.62607015e-34 / (2 * math.pi)
 
 
-@dataclass(frozen=True)
-class PhononMode:
-    """One acoustic phonon mode: exciton coupling matrix element and frequency."""
+def _checked(modes) -> list[tuple[float, float]]:
+    """(coupling, frequency) pairs as floats, each checked before any term is summed.
 
-    coupling: float
-    frequency: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise InvalidSpectrumError(f"phonon coupling must be finite, got {self.coupling!r}")
-        if not (math.isfinite(self.frequency) and self.frequency > 0.0):
-            raise InvalidSpectrumError(f"phonon frequency must be > 0, got {self.frequency!r}")
-
-
-@dataclass(frozen=True)
-class PhononSpectrum:
-    """Ordered collection of phonon modes; may be empty."""
-
-    modes: tuple[PhononMode, ...] = ()
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PhononSpectrum":
-        """Build from an iterable of (coupling, frequency) pairs."""
-        return cls(tuple(PhononMode(float(c), float(w)) for c, w in pairs))
+    Raises InvalidSpectrumError for a coupling that is not finite or a
+    frequency that is not finite and > 0.
+    """
+    pairs = [(float(c), float(w)) for c, w in modes]
+    for coupling, frequency in pairs:
+        if not math.isfinite(coupling):
+            raise InvalidSpectrumError(f"phonon coupling must be finite, got {coupling!r}")
+        if not (math.isfinite(frequency) and frequency > 0.0):
+            raise InvalidSpectrumError(f"phonon frequency must be > 0, got {frequency!r}")
+    return pairs
 
 
-def polaron_shift(spectrum: PhononSpectrum) -> float:
-    """Phonon renormalization of the exciton frequency: sum of M_q^2 / w_q."""
-    return sum((m.coupling * m.coupling / m.frequency for m in spectrum.modes), 0.0)
+def polaron_shift(modes) -> float:
+    """Phonon renormalization of the exciton frequency: sum of M_q^2 / w_q over (M_q, w_q)."""
+    return sum((c * c / w for c, w in _checked(modes)), 0.0)
 
 
-def huang_rhys(spectrum: PhononSpectrum) -> float:
-    """Dimensionless exciton-phonon coupling strength: sum of (M_q / w_q)^2.
+def huang_rhys(modes) -> float:
+    """Dimensionless exciton-phonon coupling strength: sum of (M_q / w_q)^2 over (M_q, w_q).
 
     A term past the float range gives inf, as it does in polaron_shift.
     """
     try:
-        return sum(((m.coupling / m.frequency) ** 2 for m in spectrum.modes), 0.0)
+        return sum(((c / w) ** 2 for c, w in _checked(modes)), 0.0)
     except OverflowError:  # float ** raises where float * gives inf
         return math.inf
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,19 +60,12 @@ MAX_FULL_CUTOFF = 16
 _LATTICE_PHASE_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class BasisState:
+class BasisState(NamedTuple):
     """Product state |s, m, n>: dot level (1 or 2) and the two photon numbers."""
 
     s: int
     m: int
     n: int
-
-    def __post_init__(self):
-        if self.s not in (1, 2):
-            raise ValueError(f"dot level must be 1 or 2, got {self.s}")
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"photon numbers must be >= 0, got m={self.m}, n={self.n}")
 
 
 def basis_states(n_a: int, n_b: int) -> list[BasisState]:
@@ -163,7 +157,7 @@ def build_hamiltonian(
     else:
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
 
-    position = {(st.s, st.m, st.n): i for i, st in enumerate(states)}
+    position = {st: i for i, st in enumerate(states)}
     ham = np.diag(_free_energies(params, states))
     ga, gb, g_nl = params.dressed_g_a(), params.dressed_g_b(), params.g_nl
     for (s, m, n), i in position.items():

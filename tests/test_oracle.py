@@ -40,6 +40,7 @@ class TestBasis:
         assert [(s.m, s.n) for s in states[:6]] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
         for i, state in enumerate(states):
             assert basis_index(state.s, state.m, state.n, 2, 1) == i
+        assert states == [(s, m, n) for s in (1, 2) for m in range(3) for n in range(2)]
 
     def test_manifold_matches_amplitude_order(self):
         six = manifold_states(ManifoldIndex(1, 2))

@@ -707,8 +707,10 @@ class TestCli:
         FIG3_TEXT + "g_a = inf\n",
         FIG3_TEXT + "[sweep]\nparameter = g_nl\nvalues = 1, nan\n",
         FIG3_TEXT + "[sweep]\nparameter = g_a\nstart = -1e308\nstop = 1e308\ncount = 3\n",
+        "g_nl = 2\nomega_a = 1e308\nomega_ex = 1e308\nlambda = 0\nt_end = 1\n",
     ], ids=["delta_a-inf", "t_end-inf", "t_end-nan", "t_start-nan", "g_nl-nan",
-            "lambda-nan", "g_a-inf", "sweep-values-nan", "sweep-range-overflow"])
+            "lambda-nan", "g_a-inf", "sweep-values-nan", "sweep-range-overflow",
+            "omega-overflow"])
     def test_nonfinite_values_exit_1(self, tmp_path, capsys, text):
         cfg_path = write(tmp_path / "bad.cfg", text)
         verb = "sweep" if "[sweep]" in text else "run"
