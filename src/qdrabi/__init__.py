@@ -50,7 +50,7 @@ from .oracle import (
     run_oracle,
     to_interaction_picture,
 )
-from .signal import dominant_angular_frequency, local_maxima
+from .signal import dominant_angular_frequency
 from .config import (
     RunConfig,
     SweepAxis,
@@ -73,7 +73,7 @@ __all__ = [
     "integrate", "jc_baseline", "nl_block_baseline", "rhs",
     "BasisState", "FockOperatorMatrix", "OracleResult", "build_hamiltonian", "compare",
     "propagate", "run_oracle", "to_interaction_picture",
-    "dominant_angular_frequency", "local_maxima",
+    "dominant_angular_frequency",
     "RunConfig", "SweepAxis", "SweepConfig", "parse_config", "parse_config_file",
     "override", "preset_config", "write_config",
     "ORACLE_TOLERANCE", "RunOutcome", "oracle_check", "run_single", "run_sweep",

@@ -42,6 +42,7 @@ __all__ = [
     "MAX_ROWS",
     "MAX_POINTS",
     "MAX_PHOTONS",
+    "MAX_CONFIG_BYTES",
 ]
 
 REQUIRED_KEYS = ("g_nl", "delta_a", "delta_b", "lambda")
@@ -67,6 +68,11 @@ MAX_POINTS = 100_000
 # (n+1)(m+1)(m+2), which stop converting to a float near 1e308; this bound
 # keeps them exact, far past any photon number the model is meant for
 MAX_PHOTONS = 1_000_000_000
+# bytes one config file may hold, read before any of it is parsed: far above
+# any real config (write_config writes ~2.6 MB for a 100,000-value sweep axis),
+# so a huge or endless input such as /dev/zero is a config error, not a read
+# that lasts until memory runs out
+MAX_CONFIG_BYTES = 16 * 2**20
 
 _SWEEP_KEYS = {"parameter", "values", "start", "stop", "count",
                "parameter2", "values2", "start2", "stop2", "count2"}
@@ -118,9 +124,6 @@ class RunConfig:
             if key == "lambda" and self.phonon_modes:
                 yield "phonon_modes", ", ".join(f"{fmt(c)}:{fmt(w)}" for c, w in self.phonon_modes)
 
-    def initial_slot(self) -> str:
-        return "d" if self.initial == "excited" else self.initial
-
     def index(self) -> ManifoldIndex:
         return ManifoldIndex(self.m, self.n)
 
@@ -155,8 +158,9 @@ class RunConfig:
 
     def to_dynamics_spec(self) -> DynamicsSpec:
         """Build the integrator spec on `grid()`; the detunings enter exactly as configured."""
+        slot = "d" if self.initial == "excited" else self.initial
         return DynamicsSpec(params=self.to_model_params(), index=self.index(),
-                            y0=ManifoldAmplitudes.unit(self.initial_slot()), grid=self.grid())
+                            y0=ManifoldAmplitudes.unit(slot), grid=self.grid())
 
 
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
@@ -279,10 +283,20 @@ def _value(key, text, lineno):
     return value
 
 
+def _entries(key, text, lineno) -> list[str]:
+    """The comma-separated entries of a list value; no entry, or an empty one, is an error."""
+    parts = [p.strip() for p in text.split(",")]
+    if not any(parts):
+        raise ConfigError(f"{key} is empty", line=lineno)
+    if not all(parts):
+        raise ConfigError(f"{key} has an empty entry (entry {parts.index('') + 1} of "
+                          f"{len(parts)})", line=lineno)
+    return parts
+
+
 def _parse_modes(text, lineno) -> tuple[tuple[float, float], ...]:
     pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
+    for chunk in _entries("phonon_modes", text, lineno):
         if ":" not in chunk:
             raise ConfigError(
                 f"phonon_modes entries are coupling:frequency pairs, got {chunk!r}",
@@ -293,8 +307,6 @@ def _parse_modes(text, lineno) -> tuple[tuple[float, float], ...]:
             _parse_float("phonon_modes", c_text.strip(), lineno),
             _parse_float("phonon_modes", w_text.strip(), lineno),
         ))
-    if not pairs:
-        raise ConfigError("phonon_modes is empty", line=lineno)
     return tuple(pairs)
 
 
@@ -398,9 +410,7 @@ def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
         )
     if has_values:
         text, lineno = sweep[f"values{suffix}"]
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError(f"values{suffix} is empty", line=lineno)
+        parts = _entries(f"values{suffix}", text, lineno)
         count = len(parts)
     elif has_range:
         keys = [f"{k}{suffix}" for k in ("start", "stop", "count")]
@@ -482,10 +492,14 @@ def parse_config(text: str):
 def parse_config_file(path):
     """Parse a config file; bytes that are not UTF-8 are a ConfigError naming their line.
 
-    A leading UTF-8 byte order mark is dropped before decoding.
+    A leading UTF-8 byte order mark is dropped before decoding.  A file of
+    more than MAX_CONFIG_BYTES bytes is a ConfigError; no more than one byte
+    past the bound is read.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config is larger than the limit of {MAX_CONFIG_BYTES} bytes")
     if data.startswith(codecs.BOM_UTF8):
         data = data[len(codecs.BOM_UTF8):]
     try:

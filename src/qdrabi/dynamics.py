@@ -27,7 +27,8 @@ stays bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +51,8 @@ __all__ = [
 
 # the six manifold amplitudes in storage order; slot k is the (re, im) pair at 2k, 2k+1
 SLOTS = ("a", "b", "c", "d", "e", "f")
+# the 12 reals in storage order, a1, a2, b1, .., f2: 1 the real part, 2 the imaginary
+AMPLITUDE_COLUMNS = tuple(f"{slot}{part}" for slot in SLOTS for part in "12")
 
 # samples advanced per matrix product in `integrate`
 _BLOCK_SAMPLES = 64
@@ -78,51 +81,21 @@ class ManifoldIndex:
         return math.sqrt((self.n + 1) * (self.m + 1) * (self.m + 2))
 
 
-@dataclass(frozen=True)
-class ManifoldAmplitudes:
-    """The six manifold amplitudes stored as 12 reals."""
+class ManifoldAmplitudes(namedtuple("ManifoldAmplitudes", AMPLITUDE_COLUMNS,
+                                    defaults=(0.0,) * 12)):
+    """The six manifold amplitudes stored as 12 reals, in AMPLITUDE_COLUMNS order."""
 
-    a1: float = 0.0
-    a2: float = 0.0
-    b1: float = 0.0
-    b2: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
-    d1: float = 0.0
-    d2: float = 0.0
-    e1: float = 0.0
-    e2: float = 0.0
-    f1: float = 0.0
-    f2: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def unit(cls, slot: str = "d") -> "ManifoldAmplitudes":
         """Unit amplitude in one slot (a..f); 'd' is the excited dot with no photons added."""
         if slot not in SLOTS:
             raise ValueError(f"slot must be one of {list(SLOTS)}, got {slot!r}")
-        values = [0.0] * 12
-        values[2 * SLOTS.index(slot)] = 1.0
-        return cls(*values)
-
-    @classmethod
-    def from_array(cls, arr) -> "ManifoldAmplitudes":
-        values = [float(x) for x in arr]
-        if len(values) != 12:
-            raise ValueError(f"expected 12 components, got {len(values)}")
-        return cls(*values)
+        return cls(**{f"{slot}1": 1.0})
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in AMPLITUDE_COLUMNS)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
-
-    def norm(self) -> float:
-        """Total probability: sum of squared moduli of all six amplitudes."""
-        return sum(x * x for x in self.as_tuple())
-
-
-AMPLITUDE_COLUMNS = tuple(f.name for f in fields(ManifoldAmplitudes))
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -166,7 +139,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class DynamicsSpec:
-    """Everything the integrator needs for one trajectory."""
+    """Everything the integrator needs for one trajectory.
+
+    y0 is any 12 reals in AMPLITUDE_COLUMNS order: a ManifoldAmplitudes, a
+    tuple or a (12,) array.
+    """
 
     params: ModelParams
     index: ManifoldIndex
@@ -174,11 +151,8 @@ class DynamicsSpec:
     grid: TimeGrid
 
     def __post_init__(self):
-        if not self.y0.norm() > 0.0:
+        if not sum(x * x for x in self.y0) > 0.0:
             raise ValueError("initial state must have positive norm")
-
-    def with_grid(self, **changes) -> "DynamicsSpec":
-        return replace(self, grid=replace(self.grid, **changes))
 
     def coefficients(self) -> tuple[float, float, float, float, float]:
         """(ga, gb, gk, da, db) with photon-number factors folded in.
@@ -220,10 +194,9 @@ def _derivs(t, y, ga, gb, gk, da, db):
     )
 
 
-def rhs(t: float, y: ManifoldAmplitudes, spec: DynamicsSpec) -> ManifoldAmplitudes:
-    """Time derivative of the manifold amplitudes at time t."""
-    ga, gb, gk, da, db = spec.coefficients()
-    return ManifoldAmplitudes(*_derivs(t, y.as_tuple(), ga, gb, gk, da, db))
+def rhs(t: float, y, spec: DynamicsSpec) -> np.ndarray:
+    """Time derivative at time t of the 12 reals y, as a (12,) array."""
+    return np.array(_derivs(t, y, *spec.coefficients()))
 
 
 @dataclass
@@ -361,7 +334,7 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
         if rest:
             ks = np.append(ks, n_steps)
         z = np.empty((len(ks), 12))
-        z[0] = cur = _rotate(spec.y0.as_array().reshape(6, 2), -rates * t0).ravel()
+        z[0] = cur = _rotate(np.array(spec.y0, dtype=float).reshape(6, 2), -rates * t0).ravel()
         # (I + jump)^i - I for i = 1..block, stacked, so a block of samples
         # is one product with the state at the block's start
         jump = _power(step, stride)

@@ -278,18 +278,19 @@ def run_oracle(
     params: ModelParams,
     times,
     index: ManifoldIndex = ManifoldIndex(),
-    y0: ManifoldAmplitudes | None = None,
+    y0=None,
     mode: str = "restricted",
     cutoffs: tuple[int, int] | None = None,
 ) -> OracleResult:
     """Propagate the truncated-basis Hamiltonian and project onto the manifold.
 
-    y0 holds the interaction-picture amplitudes at the first sample time t0,
-    as the integrator takes them, so the state at t0 carries the free phases
-    exp(-i E0 t0) and is propagated over times - t0.  Only the six manifold
-    components are propagated.  The norm is that of the initial state, which
-    the evolution keeps, and the leakage is the norm minus the probability
-    inside the manifold.
+    y0 holds the interaction-picture amplitudes at the first sample time t0
+    as 12 reals in AMPLITUDE_COLUMNS order, as the integrator takes them
+    (None is the excited dot, unit("d")), so the state at t0 carries the
+    free phases exp(-i E0 t0) and is propagated over times - t0.  Only the
+    six manifold components are propagated.  The norm is that of the
+    initial state, which the evolution keeps, and the leakage is the norm
+    minus the probability inside the manifold.
     """
     if y0 is None:
         y0 = ManifoldAmplitudes.unit("d")
@@ -300,9 +301,8 @@ def run_oracle(
     six = manifold_states(index)
     slots = [ham.states.index(st) for st in six]
     psi0 = np.zeros(len(ham.states), dtype=complex)
-    y0_flat = y0.as_tuple()
-    for k, slot in enumerate(slots):
-        psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
+    # the (re, im) pairs read as complex; reshape rejects other than 12 reals
+    psi0[slots] = np.array(y0, dtype=float).view(complex).reshape(6)
 
     # phases that overflow give nan amplitudes, which the caller reports as a
     # non-finite result; numpy's warnings about them would only add noise
@@ -316,10 +316,8 @@ def run_oracle(
         inside = (np.abs(psi_t) ** 2).sum(axis=1)
         amps_c = to_interaction_picture(psi_t, times, params, six)
 
-    amplitudes = np.empty((len(amps_c), 12))
-    amplitudes[:, 0::2] = amps_c.real
-    amplitudes[:, 1::2] = amps_c.imag
-    return OracleResult(t=times, amplitudes=amplitudes, norm=norm, leakage=norm - inside,
+    # each complex amplitude read as its (re, im) pair of columns
+    return OracleResult(t=times, amplitudes=amps_c.view(float), norm=norm, leakage=norm - inside,
                         hamiltonian=ham)
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["dominant_angular_frequency", "local_maxima"]
+__all__ = ["dominant_angular_frequency"]
 
 
 def _crossings(t, x):
@@ -49,11 +49,3 @@ def dominant_angular_frequency(t, x) -> float:
     if not slopes:
         return _slope(tc, math.pi * np.arange(len(tc), dtype=float))
     return float(np.average(slopes, weights=weights))
-
-
-def local_maxima(t, x) -> tuple[np.ndarray, np.ndarray]:
-    """Times and values of interior local maxima of a sampled trace."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    inner = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
-    return t[inner], x[inner]

@@ -95,17 +95,19 @@ class TestRunParsing:
         assert cfg.lam == 0.5
         assert cfg.shift == pytest.approx(0.01, abs=1e-16)
 
-    @pytest.mark.parametrize("extra, modes", [
-        pytest.param("", "0.1:-1.0", id="negative-frequency"),
-        pytest.param("", "1e160:1e-10", id="lambda-overflows"),  # (c/w)**2 overflows
-        pytest.param("", "1e300:1e-300", id="lambda-and-shift-inf"),
+    @pytest.mark.parametrize("extra, modes, reason", [
+        pytest.param("", "0.1:-1.0", "", id="negative-frequency"),
+        pytest.param("", "1e160:1e-10", "", id="lambda-overflows"),  # (c/w)**2 overflows
+        pytest.param("", "1e300:1e-300", "", id="lambda-and-shift-inf"),
         # a direct lambda still takes the spectrum's shift
-        pytest.param("lambda = 0.01\n", "1e160:1e-10", id="direct-lambda-shift-inf"),
+        pytest.param("lambda = 0.01\n", "1e160:1e-10", "", id="direct-lambda-shift-inf"),
+        pytest.param("", "", "phonon_modes is empty", id="empty"),
+        pytest.param("", "0.1:1.0,", "phonon_modes has an empty entry", id="trailing-comma"),
     ])
-    def test_bad_phonon_mode_reports_line(self, extra, modes):
+    def test_bad_phonon_mode_reports_line(self, extra, modes, reason):
         text = f"g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\n{extra}phonon_modes = {modes}\n"
         line = 4 + extra.count("\n")
-        with pytest.raises(ConfigError, match=f"line {line}"):
+        with pytest.raises(ConfigError, match=f"line {line}: .*{reason}"):
             parse_config(text)
 
 
@@ -119,6 +121,12 @@ class TestSweepParsing:
         assert [v for (v,), _ in points] == [0.5, 2.0]
         assert points[0][1].g_nl == 0.5
         assert points[1][1] == replace(points[0][1], g_nl=2.0)
+
+    @pytest.mark.parametrize("values", ["1,,2", "1, 2,"], ids=["inner", "trailing"])
+    def test_empty_value_entry_rejected(self, values):
+        # an empty entry is a typo, not a point to drop
+        with pytest.raises(ConfigError, match="^line 7: values has an empty entry"):
+            parse_config(self.BASE + f"[sweep]\nparameter = g_nl\nvalues = {values}\n")
 
     def test_linear_range(self):
         cfg = parse_config(self.BASE + "[sweep]\nparameter = lambda\nstart = 0\nstop = 1\ncount = 5\n")

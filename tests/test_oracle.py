@@ -256,6 +256,27 @@ class TestInitialStates:
         result = run_oracle(cfg.to_model_params(), series.t, y0=y0)
         assert compare(result, series) < 1e-8
 
+    @pytest.mark.parametrize("mode", ["restricted", "full"])
+    def test_array_y0_gives_the_same_bits(self, mode):
+        # both engines read y0 as 12 plain reals, whatever holds them
+        cfg = preset_config("fig4")
+        values = np.array(_random_y0(13))
+        runs = []
+        for y0 in (values, ManifoldAmplitudes(*values)):
+            series = integrate(replace(cfg.to_dynamics_spec(), y0=y0))
+            result = run_oracle(cfg.to_model_params(), series.t, y0=y0, mode=mode)
+            runs.append((series.amplitudes, result.amplitudes, result.leakage))
+        for from_array, from_tuple in zip(*runs):
+            assert np.array_equal(from_array, from_tuple)
+
+    def test_y0_of_other_than_12_reals_rejected(self):
+        # two reals would otherwise fill all six slots by broadcasting
+        cfg = preset_config("fig3")
+        with pytest.raises(ValueError):
+            run_oracle(cfg.to_model_params(), np.linspace(0.0, 1.0, 11), y0=(1.0, 0.0))
+        with pytest.raises(ValueError):
+            integrate(replace(cfg.to_dynamics_spec(), y0=(1.0, 0.0)))
+
 
 def reference_propagate(ham, psi0, times) -> np.ndarray:
     """Every component on the complex Hermitian path: the reference for propagate."""
@@ -318,7 +339,7 @@ def reference_run_oracle(
 
 def _random_y0(seed):
     vec = np.random.default_rng(seed).normal(size=12)
-    return ManifoldAmplitudes.from_array(vec / np.linalg.norm(vec))
+    return ManifoldAmplitudes(*(vec / np.linalg.norm(vec)))
 
 
 # name -> (preset, keyword arguments of run_oracle, window start)

@@ -24,7 +24,8 @@ from qdrabi import (
     verify_manifest,
 )
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
-from qdrabi.config import FIELD_BY_KEY, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS, RunConfig
+from qdrabi.config import (FIELD_BY_KEY, MAX_CONFIG_BYTES, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS,
+                           RunConfig)
 from qdrabi.serialize import parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
@@ -671,6 +672,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: line 3: not UTF-8 text" in err and "Traceback" not in err
         assert not (tmp_path / "bad").exists()
+
+    def test_oversized_config_exits_1(self, tmp_path, capsys):
+        # a sparse file one byte over the bound: only the bound plus one byte
+        # is read, so /dev/zero or a huge file cannot exhaust memory
+        cfg_path = tmp_path / "huge.cfg"
+        with open(cfg_path, "wb") as fh:
+            fh.truncate(MAX_CONFIG_BYTES + 1)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"qdrabi: config error: config is larger than the limit of "
+                       f"{MAX_CONFIG_BYTES} bytes\n")
+        assert not (tmp_path / "out").exists()
 
     def test_warning_is_one_stderr_line_naming_its_line(self, tmp_path, capsys):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST + "phonon_modes = 0.1:1\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdrabi import dominant_angular_frequency, local_maxima
+from qdrabi import dominant_angular_frequency
 
 
 class TestDominantFrequency:
@@ -31,23 +31,3 @@ class TestDominantFrequency:
         t = np.linspace(0, 10, 100)
         assert math.isnan(dominant_angular_frequency(t, t - 5.0))
 
-
-class TestLocalMaxima:
-    def test_finds_interior_peaks(self):
-        t = np.linspace(0, 4 * math.pi, 1000)
-        times, values = local_maxima(t, np.sin(t))
-        assert len(times) == 2
-        np.testing.assert_allclose(values, 1.0, atol=1e-4)
-        np.testing.assert_allclose(times, [math.pi / 2, 2.5 * math.pi], atol=1e-2)
-
-    def test_endpoints_excluded(self):
-        t = np.linspace(0, 1, 50)
-        times, values = local_maxima(t, -t)
-        assert len(times) == 0
-
-    def test_modulated_signal(self):
-        t = np.linspace(0, 20, 5000)
-        x = (0.6 + 0.4 * np.cos(0.5 * t)) * np.cos(3.0 * t) ** 2
-        _, values = local_maxima(t, x)
-        assert values.max() > 0.95
-        assert values.min() < 0.3
