@@ -78,6 +78,9 @@ _SWEEP_KEYS = {"parameter", "values", "start", "stop", "count",
                "parameter2", "values2", "start2", "stop2", "count2"}
 _BOOL_TRUE = {"true", "yes", "on", "1"}
 _BOOL_FALSE = {"false", "no", "off", "0"}
+# characters of an offending text that an error quotes: a longer text is cut
+# to them and its length, so a message stays short however long its line is
+_QUOTED_CHARS = 24
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,13 @@ class SweepConfig:
         return [(values, replace(self.base, **dict(zip(names, values)))) for values in grid]
 
 
+def _quote(text: str) -> str:
+    """repr of a text from the config; a longer one is cut to _QUOTED_CHARS and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
+
 def _tokenize(text: str):
     """Yield (section, key, value, lineno); keys before a header sit in 'run'."""
     section = "run"
@@ -199,10 +209,10 @@ def _tokenize(text: str):
             elif line == "[sweep]":
                 section = "sweep"
             else:
-                raise ConfigError(f"unknown section {line!r}", line=lineno)
+                raise ConfigError(f"unknown section {_quote(line)}", line=lineno)
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
+            raise ConfigError(f"expected 'key = value', got {_quote(line)}", line=lineno)
         key, _, value = line.partition("=")
         yield section, key.strip(), value.strip(), lineno
 
@@ -211,9 +221,10 @@ def _parse_float(key, text, lineno) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"expected a number for '{key}', got {text!r}", line=lineno) from None
+        raise ConfigError(f"expected a number for '{key}', got {_quote(text)}",
+                          line=lineno) from None
     if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number for '{key}', got {text!r}", line=lineno)
+        raise ConfigError(f"expected a finite number for '{key}', got {_quote(text)}", line=lineno)
     return value
 
 
@@ -221,7 +232,8 @@ def _parse_int(key, text, lineno) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"expected an integer for '{key}', got {text!r}", line=lineno) from None
+        raise ConfigError(f"expected an integer for '{key}', got {_quote(text)}",
+                          line=lineno) from None
 
 
 def _parse_bool(key, text, lineno) -> bool:
@@ -230,7 +242,7 @@ def _parse_bool(key, text, lineno) -> bool:
         return True
     if low in _BOOL_FALSE:
         return False
-    raise ConfigError(f"expected true/false for '{key}', got {text!r}", line=lineno)
+    raise ConfigError(f"expected true/false for '{key}', got {_quote(text)}", line=lineno)
 
 
 def _parse_text(key, text, lineno) -> str:
@@ -299,7 +311,7 @@ def _parse_modes(text, lineno) -> tuple[tuple[float, float], ...]:
     for chunk in _entries("phonon_modes", text, lineno):
         if ":" not in chunk:
             raise ConfigError(
-                f"phonon_modes entries are coupling:frequency pairs, got {chunk!r}",
+                f"phonon_modes entries are coupling:frequency pairs, got {_quote(chunk)}",
                 line=lineno,
             )
         c_text, _, w_text = chunk.partition(":")
@@ -316,7 +328,7 @@ def _collect(text: str):
     for section, key, value, lineno in _tokenize(text):
         table, known = (run, _RUN_KEYS) if section == "run" else (sweep, _SWEEP_KEYS)
         if key not in known:
-            raise ConfigError(f"unknown key '{key}' in [{section}] section", line=lineno)
+            raise ConfigError(f"unknown key {_quote(key)} in [{section}] section", line=lineno)
         if key in table:
             raise ConfigError(f"duplicate key '{key}'", line=lineno)
         table[key] = (value, lineno)
@@ -469,7 +481,7 @@ def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
         param, lineno = sweep[pkey]
         if param not in SWEEPABLE_KEYS:
             raise ConfigError(
-                f"cannot sweep '{param}'; sweepable keys: {', '.join(SWEEPABLE_KEYS)}",
+                f"cannot sweep {_quote(param)}; sweepable keys: {', '.join(SWEEPABLE_KEYS)}",
                 line=lineno,
             )
         if param in swept:
@@ -568,6 +580,6 @@ def preset_config(name: str) -> RunConfig:
     so the reproduction is qualitative by construction.
     """
     if name not in _PRESET_CAPTIONS:
-        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+        raise ConfigError(f"unknown preset {_quote(name)}; available: {', '.join(PRESET_NAMES)}")
     text = "\n".join(f"{k} = {v}" for k, v in _PRESET_CAPTIONS[name].items())
     return parse_config(text)

@@ -268,11 +268,26 @@ def _phase_rates(ga, gb, da, db) -> np.ndarray:
     return np.array([0.0, 0.0, -db, 0.0, -db, -da])
 
 
-def _rotate(pairs, angles):
-    """Turn each (re, im) pair of `pairs` (..., 6, 2) by `angles` (..., 6)."""
-    cos, sin = np.cos(angles), np.sin(angles)
-    re, im = pairs[..., 0], pairs[..., 1]
-    return np.stack((cos * re - sin * im, sin * re + cos * im), axis=-1)
+def _rotate(z, t, rates) -> np.ndarray:
+    """Turn each (re, im) pair of the 12 reals z (..., 12) by t*rate, the rate of its slot.
+
+    t is a scalar or one time per row of z.  cos and sin are taken once per
+    distinct nonzero rate.  A slot at rate +-0 turns by the angle +-0, whose
+    cos is 1 and whose sin is the angle itself, so it takes those without
+    any trig and comes out with the same bits.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    angle = t * rates
+    cos, sin = np.ones_like(angle), angle
+    for rate in set(rates.tolist()) - {0.0}:
+        slots = rates == rate
+        cos[..., slots] = np.cos(t * rate)
+        sin[..., slots] = np.sin(t * rate)
+    re, im = z[..., 0::2], z[..., 1::2]
+    out = np.empty(angle.shape[:-1] + (12,))
+    out[..., 0::2] = cos * re - sin * im
+    out[..., 1::2] = sin * re + cos * im
+    return out
 
 
 def integrate(spec: DynamicsSpec) -> TimeSeries:
@@ -334,7 +349,8 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
         if rest:
             ks = np.append(ks, n_steps)
         z = np.empty((len(ks), 12))
-        z[0] = cur = _rotate(np.array(spec.y0, dtype=float).reshape(6, 2), -rates * t0).ravel()
+        # reshape rejects other than 12 reals
+        z[0] = cur = _rotate(np.array(spec.y0, dtype=float).reshape(12), -t0, rates)
         # (I + jump)^i - I for i = 1..block, stacked, so a block of samples
         # is one product with the state at the block's start
         jump = _power(step, stride)
@@ -351,7 +367,7 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
 
         t_arr = t0 + ks * h
         t_arr[0] = t0  # t0 + 0*h would turn a t_start of -0.0 into 0.0
-        amplitudes = _rotate(z.reshape(-1, 6, 2), np.outer(t_arr, rates)).reshape(-1, 12)
+        amplitudes = _rotate(z, t_arr, rates)
         norms = (amplitudes ** 2).sum(axis=1)
 
     bad = np.flatnonzero(~(norms[1:] < math.inf))

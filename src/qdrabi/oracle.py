@@ -27,6 +27,7 @@ truncation error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -70,12 +71,7 @@ class BasisState(NamedTuple):
 
 def basis_states(n_a: int, n_b: int) -> list[BasisState]:
     """Total ordered enumeration: s-major, then m, then n."""
-    return [
-        BasisState(s, m, n)
-        for s in (1, 2)
-        for m in range(n_a + 1)
-        for n in range(n_b + 1)
-    ]
+    return list(map(BasisState._make, itertools.product((1, 2), range(n_a + 1), range(n_b + 1))))
 
 
 def basis_index(s: int, m: int, n: int, n_a: int, n_b: int) -> int:
@@ -122,16 +118,38 @@ def resolve_cutoffs(index: ManifoldIndex, n_a: int | None = None,
 
 @dataclass(frozen=True)
 class FockOperatorMatrix:
-    """Dense real symmetric Hamiltonian and the basis states that index its rows."""
+    """Dense real symmetric Hamiltonian and the basis states that index its rows.
+
+    `manifold` holds the rows of the six manifold_states(index), in
+    amplitude order a..f.
+    """
 
     matrix: np.ndarray
     states: list[BasisState]
+    manifold: np.ndarray
 
 
-def _free_energies(params: ModelParams, states) -> np.ndarray:
+def _quanta(states) -> np.ndarray:
+    """The (s, m, n) of each basis state, as the three rows of an int array."""
+    flat = itertools.chain.from_iterable(states)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(states)).reshape(-1, 3).T
+
+
+def _free_energies(params: ModelParams, s, m, n) -> np.ndarray:
     """Diagonal of the uncoupled Hamiltonian; the shifted exciton level sits on s=2 only."""
-    return np.array([params.omega_a * st.m + params.omega_b * st.n + params.omega_ex * (st.s - 1)
-                     for st in states])
+    return params.omega_a * m + params.omega_b * n + params.omega_ex * (s - 1)
+
+
+def _row_table(s, m, n):
+    """A lookup from (s, m, n) arrays to the rows of those states, -1 where absent.
+
+    The table spans the states' photon numbers plus the steps the ladder
+    terms take beyond them (m + 2, n - 1 and n + 1), so no lookup wraps.
+    """
+    m0, n0 = m.min(), n.min()
+    table = np.full((2, m.max() - m0 + 3, n.max() - n0 + 3), -1)
+    table[s - 1, m - m0, n - n0 + 1] = np.arange(len(s))
+    return lambda s, m, n: table[s - 1, m - m0, n - n0 + 1]
 
 
 def build_hamiltonian(
@@ -148,33 +166,44 @@ def build_hamiltonian(
     ignores the cutoffs and works on the six manifold_states(index) in
     amplitude order, so its matrix is the 6x6 manifold block of the full one.
     Free energies, dressed couplings and ladder square roots are all real, so
-    the matrix is float64 and exactly symmetric by construction.
+    the matrix is float64 and exactly symmetric by construction.  An element
+    that overflows is inf (and an inf energy times no quanta nan), silently.
     """
+    six = manifold_states(index)
     if mode == "full":
         states = basis_states(*resolve_cutoffs(index, n_a, n_b))
     elif mode == "restricted":
-        states = list(manifold_states(index))
+        states = list(six)
     else:
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
 
-    position = {st: i for i, st in enumerate(states)}
-    ham = np.diag(_free_energies(params, states))
+    s, m, n = _quanta(states)
+    rows = _row_table(s, m, n)
     ga, gb, g_nl = params.dressed_g_a(), params.dressed_g_b(), params.g_nl
-    for (s, m, n), i in position.items():
-        # partners with more photons, one per ladder term:
+    # the photon product as an exact integer, as math.sqrt takes it; object
+    # ints where int64 would wrap (restricted mode far up the ladder)
+    wide = int(n.max()) * (int(m.max()) + 1) * (int(m.max()) + 2) >= 2**63
+    nm = n.astype(object) if wide else n
+    upper = np.flatnonzero(s == 2)
+    mu, nu = m[upper], n[upper]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ham = np.diag(_free_energies(params, s, m, n))
+        # (rows, partner rows with more photons, element), one per ladder term:
         # sigma+ a + h.c.      |2,m,n> <-> |1,m+1,n>,   element sqrt(m+1)
         # sigma+ b + h.c.      |2,m,n> <-> |1,m,n+1>,   element sqrt(n+1)
         # b (a^dag)^2 + h.c.   |s,m,n> <-> |s,m+2,n-1>, element sqrt(n(m+1)(m+2))
-        partners = [((1, m + 1, n), ga * math.sqrt(m + 1)),
-                    ((1, m, n + 1), gb * math.sqrt(n + 1))] if s == 2 else []
-        if n > 0:
-            partners.append(((s, m + 2, n - 1), g_nl * math.sqrt(n * (m + 1) * (m + 2))))
-        for partner, value in partners:
-            j = position.get(partner)
-            if j is not None:
-                ham[i, j] = ham[j, i] = value
+        terms = (
+            (upper, rows(1, mu + 1, nu), ga * np.sqrt(mu + 1)),
+            (upper, rows(1, mu, nu + 1), gb * np.sqrt(nu + 1)),
+            (np.arange(len(s)), rows(s, m + 2, n - 1),
+             g_nl * np.sqrt((nm * (m + 1) * (m + 2)).astype(float))),
+        )
+        for i, j, value in terms:
+            found = j >= 0
+            i, j = i[found], j[found]
+            ham[i, j] = ham[j, i] = value[found]
 
-    return FockOperatorMatrix(matrix=ham, states=states)
+    return FockOperatorMatrix(matrix=ham, states=states, manifold=rows(*_quanta(six)))
 
 
 def _sample_lattice(times, scale: float):
@@ -258,9 +287,11 @@ def propagate(ham, psi0, times, components) -> np.ndarray:
 
 def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndarray:
     """Slowly varying amplitudes: column k gains exp(+i E0 t), E0 the free energy of states[k]."""
-    e0 = _free_energies(params, states)
+    e0 = _free_energies(params, *_quanta(states))
     times = np.asarray(times, dtype=float)
-    return np.exp(1j * np.outer(times, e0)) * psi_t
+    # one exponential column per distinct energy bit pattern: -0.0 never merges with 0.0
+    distinct, column = np.unique(e0.view(np.uint64), return_inverse=True)
+    return np.exp(1j * np.outer(times, distinct.view(float)))[:, column] * psi_t
 
 
 @dataclass
@@ -299,7 +330,7 @@ def run_oracle(
     t0 = times[0] if len(times) else 0.0
 
     six = manifold_states(index)
-    slots = [ham.states.index(st) for st in six]
+    slots = ham.manifold
     psi0 = np.zeros(len(ham.states), dtype=complex)
     # the (re, im) pairs read as complex; reshape rejects other than 12 reals
     psi0[slots] = np.array(y0, dtype=float).view(complex).reshape(6)
@@ -308,7 +339,7 @@ def run_oracle(
     # non-finite result; numpy's warnings about them would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         if t0 != 0.0:  # at t0 = 0 psi0 is y0 itself, signs of zero included
-            psi0[slots] *= np.exp(-1j * _free_energies(params, six) * t0)
+            psi0[slots] *= np.exp(-1j * _free_energies(params, *_quanta(six)) * t0)
         psi_t = propagate(ham.matrix, psi0, times - t0, slots)
         # unitary evolution keeps the norm of psi0; the eigenvector matrix is
         # unitary, so it equals the sum of |eigen-coefficient|^2 as well

@@ -120,7 +120,10 @@ def run_single(
 ) -> RunOutcome:
     """Integrate one configuration and write its artifacts; the manifest goes last.
 
-    The trajectory files are written for every verb but `check`.
+    The trajectory files are written for every verb but `check`.  A run that
+    integrates fills `summary` with `max_norm_drift`, which the manifest and
+    the command line report, for every verb; only a `sweep-point` also fills
+    `max_p2`, `min_p2` and `dominant_freq`, the rest of summary.csv's columns.
     """
     spec = config.to_dynamics_spec()  # bad grids and cutoffs fail here, before any output
     cutoffs = _cutoffs(config)
@@ -159,12 +162,11 @@ def run_single(
             if error is not None:
                 outcome.status = STATUS_MISMATCH
                 outcome.error = error
-        outcome.summary = {
-            "max_p2": float(series.p2.max()),
-            "min_p2": float(series.p2.min()),
-            "dominant_freq": dominant_angular_frequency(series.t, series.p2),
-            "max_norm_drift": series.max_norm_drift(),
-        }
+        outcome.summary = {"max_norm_drift": series.max_norm_drift()}
+        if verb == "sweep-point":  # the rest of summary.csv's columns, which no other verb writes
+            p2 = series.p2
+            outcome.summary.update(max_p2=float(p2.max()), min_p2=float(p2.min()),
+                                   dominant_freq=dominant_angular_frequency(series.t, p2))
 
     entries = [("artifact", "qdrabi"), ("version", __version__), ("verb", verb),
                ("status", outcome.status)]

@@ -111,6 +111,35 @@ class TestRunParsing:
             parse_config(text)
 
 
+LONG = "x" * 100_000
+FIG3 = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
+
+
+class TestLongInputErrors:
+    """An error quotes an excerpt of the offending text and its length, never all of it."""
+
+    @pytest.mark.parametrize("text, line, length", [
+        pytest.param(FIG3 + "\x00" * 2**20 + "\n", 5, 2**20, id="nul-line"),
+        pytest.param(FIG3 + f"[{LONG}]\n", 5, len(LONG) + 2, id="section"),
+        pytest.param(FIG3 + f"{LONG} = 1\n", 5, len(LONG), id="key"),
+        pytest.param(FIG3 + f"t_end = {LONG}\n", 5, len(LONG), id="value"),
+        pytest.param(FIG3 + f"[sweep]\nparameter = {LONG}\nvalues = 1\n", 6, len(LONG),
+                     id="sweep-parameter"),
+    ])
+    def test_message_is_short_and_names_its_line(self, text, line, length):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        message = str(err.value)
+        assert len(message) < 200
+        assert message.startswith(f"line {line}: ")
+        assert f"... ({length} characters)" in message
+
+    def test_short_text_quoted_whole(self):
+        with pytest.raises(ConfigError, match=r"^line 5: expected a number for 't_end', "
+                                              r"got 'twelve'$"):
+            parse_config(FIG3 + "t_end = twelve\n")
+
+
 class TestSweepParsing:
     BASE = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
 

@@ -20,7 +20,7 @@ from qdrabi import (
     rhs,
 )
 from qdrabi import dynamics
-from qdrabi.dynamics import _derivs, _phase_rates
+from qdrabi.dynamics import SLOTS, _derivs, _phase_rates
 
 
 def make_spec(g_a=1.0, g_b=1.0, g_nl=0.0, delta_a=0.0, delta_b=0.0, lam=0.0,
@@ -315,6 +315,56 @@ class TestStepMatrixPropagator:
                 rot[2 * slot:2 * slot + 2, 2 * slot:2 * slot + 2] = ((c, -s), (s, c))
             residual = generator(t) - rot @ generator(0.0) @ rot.T
             assert np.abs(residual).max() <= 1e-14
+
+
+def reference_rotate(pairs, angles):
+    """cos and sin of every slot's angle: the reference for `_rotate`'s bits."""
+    cos, sin = np.cos(angles), np.sin(angles)
+    re, im = pairs[..., 0], pairs[..., 1]
+    return np.stack((cos * re - sin * im, sin * re + cos * im), axis=-1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRotation:
+    # an uncoupled channel's rate drops to zero: -0.0 for g_b = 0, +0.0 for g_a = 0
+    @pytest.mark.parametrize("uncoupled", ["none", "g_a", "g_b"])
+    @pytest.mark.parametrize("step", [1e-2, -1e-2], ids=["forward", "backward"])
+    @pytest.mark.parametrize("t_start", [0.0, -0.0, -3.7, 1e3], ids=["0", "-0", "-3.7", "1e3"])
+    def test_matches_full_trig_formula(self, monkeypatch, uncoupled, step, t_start):
+        couplings = {"g_a": 0.8, "g_b": 1.3, **({uncoupled: 0.0} if uncoupled != "none" else {})}
+        rotate, calls = dynamics._rotate, []
+
+        def recording(z, t, rates):
+            calls.append((z.copy(), rotate(z, t, rates)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(dynamics, "_rotate", recording)
+        # each start slot, and again with its zeros as -0.0, whose signs a
+        # dropped or flipped zero angle would change
+        starts = [ManifoldAmplitudes.unit(slot) for slot in SLOTS]
+        starts += [ManifoldAmplitudes(*(v or -0.0 for v in y0)) for y0 in starts]
+        for y0 in starts:
+            spec = replace(
+                make_spec(g_nl=0.6, delta_a=0.9, delta_b=-0.4, lam=0.2, m=1, n=2,
+                          y0=y0, **couplings),
+                grid=TimeGrid(t_start, t_start + math.copysign(2.0, step), step, 7))
+            ga, gb, _, da, db = spec.coefficients()
+            rates = _phase_rates(ga, gb, da, db)
+            if uncoupled != "none":
+                assert (rates == 0.0).sum() == 3 + (uncoupled == "g_a") + 2 * (uncoupled == "g_b")
+            calls.clear()
+            series = integrate(spec)
+            # the start turned into the co-moving frame, then the samples turned back
+            (first, start), (z, back) = calls
+            assert np.array_equal(bits(first), bits(np.array(y0)))
+            want = reference_rotate(np.array(y0).reshape(6, 2), -rates * t_start).ravel()
+            assert np.array_equal(bits(start), bits(want))
+            want = reference_rotate(z.reshape(-1, 6, 2), np.outer(series.t, rates))
+            assert np.array_equal(bits(back), bits(want.reshape(-1, 12)))
+            assert back is series.amplitudes
 
 
 class TestJcBaseline:

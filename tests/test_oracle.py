@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,57 @@ class TestBuildHamiltonian:
         assert got.states == want.states
 
 
+def reference_hamiltonian(p, states) -> np.ndarray:
+    """The per-state loop over a position dict: the reference for build_hamiltonian's bits."""
+    position = {st: i for i, st in enumerate(states)}
+    ham = np.diag(np.array([p.omega_a * st.m + p.omega_b * st.n + p.omega_ex * (st.s - 1)
+                            for st in states]))
+    ga, gb, g_nl = p.dressed_g_a(), p.dressed_g_b(), p.g_nl
+    for (s, m, n), i in position.items():
+        partners = [((1, m + 1, n), ga * math.sqrt(m + 1)),
+                    ((1, m, n + 1), gb * math.sqrt(n + 1))] if s == 2 else []
+        if n > 0:
+            partners.append(((s, m + 2, n - 1), g_nl * math.sqrt(n * (m + 1) * (m + 2))))
+        for partner, value in partners:
+            j = position.get(partner)
+            if j is not None:
+                ham[i, j] = ham[j, i] = value
+    return ham
+
+
+HAMILTONIAN_PARAMS = {
+    "generic": params(g_a=1.2, g_b=-0.5, g_nl=0.8, delta_a=0.9, delta_b=-0.4, lam=0.3),
+    "overflow+": params(g_a=1.0, g_b=1.0, g_nl=2.0, delta_a=1e308, delta_b=-1e308),
+    "overflow-": params(g_a=1.0, g_b=1.0, g_nl=2.0, delta_a=-1e308, delta_b=1e308),
+}
+
+
+class TestHamiltonianBits:
+    @pytest.mark.parametrize("name", sorted(HAMILTONIAN_PARAMS))
+    @pytest.mark.parametrize("mode, cutoffs", [("restricted", None), ("full", None),
+                                               ("full", 16)], ids=["restricted", "full-min",
+                                                                   "full-16"])
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 2), (3, 1)])
+    def test_matches_per_state_loop(self, name, mode, cutoffs, m, n):
+        p, index = HAMILTONIAN_PARAMS[name], ManifoldIndex(m, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is a silent inf, as in the loop
+            ham = build_hamiltonian(p, cutoffs, cutoffs, mode=mode, index=index)
+        want = reference_hamiltonian(p, ham.states)
+        assert np.array_equal(ham.matrix.view(np.uint64), want.view(np.uint64))
+        # an overflowed energy is inf, or nan where an inf frequency meets no quanta
+        assert np.isfinite(ham.matrix).all() != name.startswith("overflow")
+        assert list(ham.manifold) == [ham.states.index(st) for st in manifold_states(index)]
+
+    def test_photon_products_past_int64(self):
+        # (n+1)(m+1)(m+2) near 1e27: math.sqrt rounds the exact integer once
+        index = ManifoldIndex(10**9, 10**9)
+        p = HAMILTONIAN_PARAMS["generic"]
+        ham = build_hamiltonian(p, mode="restricted", index=index)
+        want = reference_hamiltonian(p, ham.states)
+        assert np.array_equal(ham.matrix.view(np.uint64), want.view(np.uint64))
+
+
 class TestPropagate:
     def test_zero_hamiltonian_freezes_state(self):
         psi0 = np.array([0.6, 0.8j, 0.0])
@@ -169,6 +221,23 @@ class TestInteractionPicture:
         psi = np.arange(12, dtype=complex).reshape(1, 12)
         out = to_interaction_picture(psi, [0.0], p, basis_states(2, 1))
         np.testing.assert_array_equal(out, psi)
+
+    @pytest.mark.parametrize("delta_a, delta_b", [(1.0, 0.1), (-1.0, 0.5)],
+                             ids=["+0-energy", "-0-energy"])
+    def test_matches_per_column_formula(self, delta_a, delta_b):
+        # |1,0,0> has energy -0.0 when omega_a, omega_b and omega_ex are all
+        # negative; |1,2,0> and |1,0,1> share an energy, and so one column
+        p = params(delta_a=delta_a, delta_b=delta_b)
+        states = basis_states(2, 1)
+        e0 = np.array([p.omega_a * st.m + p.omega_b * st.n + p.omega_ex * (st.s - 1)
+                       for st in states])
+        assert math.copysign(1.0, e0[0]) == (1.0 if delta_a > 0 else -1.0)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(7, 12)) + 1j * rng.normal(size=(7, 12))
+        times = np.array([0.0, -0.0, 0.4, -3.7, 1e3, 2.5e5, -1e-300])
+        want = np.exp(1j * np.outer(times, e0)) * psi
+        got = to_interaction_picture(psi, times, p, states)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_free_evolution_gives_constant_amplitudes(self):
         p = params(g_a=0.0, g_b=0.0, g_nl=0.0, delta_a=1.3, delta_b=0.4)

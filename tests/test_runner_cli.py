@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qdrabi
 from qdrabi import (
+    integrate,
     parse_config,
     preset_config,
     run_single,
@@ -26,7 +27,7 @@ from qdrabi import (
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
 from qdrabi.config import (FIELD_BY_KEY, MAX_CONFIG_BYTES, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS,
                            RunConfig)
-from qdrabi.serialize import parse_manifest
+from qdrabi.serialize import fmt, parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
 # coarse step keeps unit tests fast; acceptance runs the default step
@@ -476,6 +477,41 @@ class TestSweep:
         assert "RK4 stability limit" in entries["point.point_001.error"]
         verify_manifest(tmp_path / "sweep" / "manifest.txt")
         verify_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
+
+
+class TestSummaryEstimates:
+    """max_p2, min_p2 and dominant_freq are computed for sweep points only."""
+
+    def test_run_and_check_skip_them(self, tmp_path, monkeypatch):
+        def unread(t, x):
+            raise AssertionError("dominant_freq computed for a verb that writes no summary.csv")
+
+        monkeypatch.setattr(runner, "dominant_angular_frequency", unread)
+        path = write(tmp_path / "fig3.conf", FIG3_TEXT + FAST_CHECK)
+        for verb in ("run", "check"):
+            assert main([verb, path, "--out", str(tmp_path / verb)]) == EXIT_OK
+            assert "max_norm_drift" in parse_manifest(tmp_path / verb / "manifest.txt")
+
+    def test_sweep_summary_unchanged(self, tmp_path, monkeypatch):
+        estimate, calls = runner.dominant_angular_frequency, []
+
+        def counting(t, x):
+            calls.append(len(t))
+            return estimate(t, x)
+
+        monkeypatch.setattr(runner, "dominant_angular_frequency", counting)
+        text = FIG3_TEXT + FAST + ("[sweep]\nparameter = g_nl\nvalues = 0.5, 2\n"
+                                   "parameter2 = delta_a\nvalues2 = 0.2, 1\n")
+        path = write(tmp_path / "grid.conf", text)
+        assert main(["sweep", path, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        assert len(calls) == 4
+        rows = ["g_nl,delta_a,max_p2,min_p2,dominant_freq,max_norm_drift"]
+        for values, point in parse_config(text).points():
+            series = integrate(point.to_dynamics_spec())
+            cells = [*values, series.p2.max(), series.p2.min(),
+                     estimate(series.t, series.p2), series.max_norm_drift()]
+            rows.append(",".join(fmt(v) for v in cells))
+        assert (tmp_path / "sweep" / "summary.csv").read_text() == "\n".join(rows) + "\n"
 
 
 class TestCli:
