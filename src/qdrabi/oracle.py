@@ -17,6 +17,14 @@ off-stride final sample, irregular times, a phase that overflows) is
 evaluated directly, so any times give the same result as the per-sample
 exponentials, to rounding.
 
+Most eigenmodes of a full-mode matrix barely reach the manifold: a shell k
+quanta above it couples to it only through k steps.  In full mode
+`propagate` skips a mode whose weight on every component is at most eps/dim
+of that component's largest weight, so each component loses at most eps
+times its largest term, below the rounding of its own sum; at the cutoffs
+(16, 16) about two thirds of the modes go.  A non-finite weight keeps every
+mode, and so does restricted mode, whose six states are the whole basis.
+
 Both modes assemble the matrix from the same ladder-operator elements on an
 explicit list of basis states.  Restricted mode works on the six manifold
 states alone, reproducing the truncation behind the amplitude equations
@@ -233,17 +241,29 @@ def propagate(ham, psi0, times, components) -> np.ndarray:
     eigenbasis, so the evolution is unitary to eigensolver accuracy and the
     norm of psi0 is preserved.  A real symmetric matrix takes the real
     eigensolver.  Only the basis components listed in `components` are
-    formed, in that order; passing every index gives the full state.
+    formed, in that order; passing every index gives the full state, and
+    passing none gives an (n, 0) array.
+
+    When the components are fewer than the basis states (the manifold inside
+    a full-mode basis), only the eigenmodes that reach them are propagated.
+    The weights are each eigen-coefficient times the mode's component rows;
+    a mode is skipped when, on every component, its |weight| is at most
+    eps/dim of that component's largest |weight|.  The dim terms of a
+    component then lose at most eps times its largest term, which is below
+    the rounding of their sum.  A non-finite weight keeps every mode, so a
+    nan in psi0 still gives non-finite components; a psi0 that keeps no mode
+    (all zeros) gives zeros.  Components that span the basis (restricted
+    mode's six states) reach every mode, and all are kept.  Everything below
+    runs on the K kept modes, the lattice's phase scale included.
 
     The phases are factorised over the uniform sample lattice: with block
     length B ~ sqrt(n), sample k = j*B + i sits at t0 + j*B*spacing +
-    i*spacing, so exp(-iEt) is the product of a row of a B x dim table of
-    in-block offsets and a row of a ceil(n/B) x dim table of block anchors.
-    About 2*sqrt(n)*dim exponentials replace n*dim.  The anchors are folded
-    into the eigen-coefficients and component rows (a
-    dim x ceil(n/B)*len(components) temporary), so one matrix product gives
-    every sample.  A sample off the lattice (irregular times, an
-    off-stride final sample, a phase that is not finite) gets its own
+    i*spacing, so exp(-iEt) is the product of a row of a B x K table of
+    in-block offsets and a row of a ceil(n/B) x K table of block anchors.
+    About 2*sqrt(n)*K exponentials replace n*K.  The anchors are folded
+    into the weights (a K x ceil(n/B)*len(components) temporary), so one
+    matrix product gives every sample.  A sample off the lattice (irregular
+    times, an off-stride final sample, a phase that is not finite) gets its own
     exponentials instead, so it comes out as the per-sample formula gives
     it, non-finite where that is.  A matrix with an entry that is not
     finite (an energy that overflowed) has no eigenbasis, so every
@@ -265,19 +285,26 @@ def propagate(ham, psi0, times, components) -> np.ndarray:
     nz = np.flatnonzero(psi0)  # only psi0's nonzero entries: a real `vectors` stays real
     coeffs = vectors[nz].conj().T @ psi0[nz]
     weights = coeffs[:, None] * vectors[components].T  # dim x c: coefficient times component row
+    n, c = len(times), weights.shape[1]
+    if c < len(energies):  # components spanning the basis reach every mode
+        magnitude = np.abs(weights)
+        if np.isfinite(magnitude).all():  # nan compares false, so it would drop every mode
+            cut = magnitude.max(axis=0, initial=0.0) * (np.finfo(float).eps / len(energies))
+            kept = (magnitude > cut).any(axis=1)
+            energies, weights = energies[kept], weights[kept]
 
-    n = len(times)
     if n == 0:
-        return np.empty((0, weights.shape[1]), dtype=complex)
+        return np.empty((0, c), dtype=complex)
     scale = float(np.abs(energies).max(initial=0.0))
     spacing, on_lattice = _sample_lattice(times, scale)
     block = math.isqrt(n - 1) + 1
     offsets = np.exp(-1j * np.outer(np.arange(block) * spacing, energies))
     anchors = np.exp(-1j * np.outer(times[0] + np.arange(0, n, block) * spacing, energies))
-    # anchors folded into the weights, dim x (blocks * c): one product for every sample
-    folded = (anchors.T[:, :, None] * weights[:, None, :]).reshape(len(energies), -1)
-    out = (offsets @ folded).reshape(block, len(anchors), -1).transpose(1, 0, 2)
-    out = out.reshape(-1, weights.shape[1])[:n]
+    blocks = len(anchors)
+    # anchors folded into the weights, modes x (blocks * c): one product for every sample
+    folded = (anchors.T[:, :, None] * weights[:, None, :]).reshape(len(energies), blocks * c)
+    out = (offsets @ folded).reshape(block, blocks, c).transpose(1, 0, 2)
+    out = out.reshape(blocks * block, c)[:n]
     off = np.flatnonzero(~on_lattice)
     for first in range(0, off.size, block):
         chunk = off[first:first + block]
@@ -302,7 +329,8 @@ class OracleResult(TimeSeries):
     hamiltonian: FockOperatorMatrix
 
     def max_leakage(self) -> float:
-        return float(self.leakage.max())
+        """Largest leakage over the samples; nan when there are none."""
+        return float(self.leakage.max()) if self.leakage.size else math.nan
 
 
 def run_oracle(
@@ -353,9 +381,13 @@ def run_oracle(
 
 
 def compare(oracle: OracleResult, ode: TimeSeries) -> float:
-    """Largest componentwise amplitude difference; demands identical time grids."""
+    """Largest componentwise amplitude difference; demands identical time grids.
+
+    nan when there are no samples to compare.
+    """
     if len(oracle.t) != len(ode.t) or not np.array_equal(oracle.t, ode.t):
         raise GridMismatchError(
             f"time grids differ ({len(oracle.t)} vs {len(ode.t)} samples)"
         )
-    return float(np.abs(oracle.amplitudes - ode.amplitudes).max())
+    difference = np.abs(oracle.amplitudes - ode.amplitudes)
+    return float(difference.max()) if difference.size else math.nan

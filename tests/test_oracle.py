@@ -214,6 +214,33 @@ class TestPropagate:
         norms = np.linalg.norm(psi_t, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
+    @staticmethod
+    def _coupled_system():
+        """A dense real symmetric matrix and times with an off-lattice last sample."""
+        mat = np.random.default_rng(37).normal(size=(12, 12))
+        return mat + mat.T, np.append(np.linspace(0.0, 4.0, 17), 4.1)
+
+    def test_nan_in_psi0_keeps_every_mode(self):
+        # nan compares false against any cut, which would skip every mode
+        ham, times = self._coupled_system()
+        psi0 = np.zeros(12, dtype=complex)
+        psi0[[2, 7]] = np.nan, 1.0
+        got = propagate(ham, psi0, times, [0, 2, 5])
+        assert got.shape == (18, 3)
+        assert not np.isfinite(got).any()
+
+    def test_all_zero_psi0_gives_zeros(self):
+        # no mode carries weight, so none is kept
+        ham, times = self._coupled_system()
+        got = propagate(ham, np.zeros(12), times, [0, 2, 5])
+        assert got.dtype == complex
+        assert np.array_equal(got, np.zeros((18, 3)))
+
+    def test_no_components_give_no_columns(self):
+        ham, times = self._coupled_system()
+        got = propagate(ham, np.ones(12), times, [])
+        assert got.shape == (18, 0)
+
 
 class TestInteractionPicture:
     def test_identity_at_time_zero(self):
@@ -307,6 +334,13 @@ class TestCompare:
         result.amplitudes = series.amplitudes.copy()
         result.amplitudes[17, 3] += 1e-6
         assert compare(result, series) == pytest.approx(1e-6, rel=1e-9)
+
+    def test_no_samples_give_nan(self):
+        # no sample to take a maximum over, as for a trace without crossings
+        p = preset_config("fig3").to_model_params()
+        result = run_oracle(p, [])
+        assert math.isnan(result.max_leakage())
+        assert math.isnan(compare(result, run_oracle(p, [])))
 
     def test_grid_mismatch_rejected(self):
         cfg = preset_config("fig3")
@@ -420,6 +454,9 @@ EQUIVALENCE_CASES = {
     "fig4-index-1-1": ("fig4", {"index": ManifoldIndex(1, 1)}, 0.0),
     "fig5-random-y0": ("fig5", {"y0": _random_y0(17)}, 0.0),
     "fig3-t_start-3.7": ("fig3", {}, 3.7),
+    # about two thirds of the 578 eigenmodes fall under propagate's cut
+    "fig5-cutoffs-16-16": ("fig5", {"cutoffs": (16, 16)}, 0.0),
+    "fig3-random-y0-t_start-3.7": ("fig3", {"y0": _random_y0(19)}, 3.7),
 }
 
 
