@@ -219,23 +219,20 @@ class TimeSeries:
         return float(np.abs(self.norm - self.norm[0]).max())
 
 
-def _rk4_increment(h, coeffs) -> np.ndarray:
+def _rk4_increment(h, spec: DynamicsSpec) -> np.ndarray:
     """One RK4 step from t = 0 minus the identity, as a 12x12 matrix.
 
-    `_derivs` is applied to all 12 unit vectors at once (the rows of the
+    `rhs` is applied to all 12 unit vectors at once (the rows of the
     identity unpack into the 12 components), so the matrix carries the same
     coefficients as the equations.  The increment is formed directly, never
     as P - I, because P lies within O(h) of the identity.
     """
-    def f(t, y):
-        return np.array(_derivs(t, y, *coeffs))
-
     h2 = 0.5 * h
     y = np.eye(12)
-    k1 = f(0.0, y)
-    k2 = f(h2, y + h2 * k1)
-    k3 = f(h2, y + h2 * k2)
-    k4 = f(h, y + h * k3)
+    k1 = rhs(0.0, y, spec)
+    k2 = rhs(h2, y + h2 * k1, spec)
+    k3 = rhs(h2, y + h2 * k2, spec)
+    k4 = rhs(h, y + h * k3, spec)
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -271,18 +268,12 @@ def _phase_rates(ga, gb, da, db) -> np.ndarray:
 def _rotate(z, t, rates) -> np.ndarray:
     """Turn each (re, im) pair of the 12 reals z (..., 12) by t*rate, the rate of its slot.
 
-    t is a scalar or one time per row of z.  cos and sin are taken once per
-    distinct nonzero rate.  A slot at rate +-0 turns by the angle +-0, whose
-    cos is 1 and whose sin is the angle itself, so it takes those without
-    any trig and comes out with the same bits.
+    t is a scalar or one time per row of z.  Every slot takes cos and sin of
+    its own angle, so a slot at rate +-0 turns by exactly +-0: cos 1 and sin
+    the signed zero, which keeps the signs of its zeros.
     """
-    t = np.asarray(t, dtype=float)[..., None]
-    angle = t * rates
-    cos, sin = np.ones_like(angle), angle
-    for rate in set(rates.tolist()) - {0.0}:
-        slots = rates == rate
-        cos[..., slots] = np.cos(t * rate)
-        sin[..., slots] = np.sin(t * rate)
+    angle = np.asarray(t, dtype=float)[..., None] * rates
+    cos, sin = np.cos(angle), np.sin(angle)
     re, im = z[..., 0::2], z[..., 1::2]
     out = np.empty(angle.shape[:-1] + (12,))
     out[..., 0::2] = cos * re - sin * im
@@ -312,8 +303,7 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
     that bound): Q is not normal, so a bounded rho^n_steps does not by
     itself bound the growth of every state.
     """
-    coeffs = spec.coefficients()
-    ga, gb, _, da, db = coeffs
+    ga, gb, _, da, db = spec.coefficients()
     grid = spec.grid
     h = grid.step
     t0 = grid.t_start
@@ -333,7 +323,7 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
         back[re, re] = back[re + 1, re + 1] = -2.0 * np.sin(0.5 * theta) ** 2
         back[re, re + 1] = np.sin(theta)
         back[re + 1, re] = -np.sin(theta)
-        step = _compose(back, _rk4_increment(h, coeffs))
+        step = _compose(back, _rk4_increment(h, spec))
         if np.isfinite(step).all():  # else the state turns nonfinite, checked below
             rho = float(np.abs(np.linalg.eigvals(np.eye(12) + step)).max())
             growth = np.float64(rho) ** n_steps  # inf, not OverflowError, past the range

@@ -3,10 +3,11 @@
 Builds the transformed Hamiltonian on |s, m, n> product states (dot level,
 fundamental photons, second-harmonic photons), propagates exactly by
 spectral decomposition, and rotates into the interaction picture so the
-result is directly comparable to the six-amplitude integrator.  Every
-matrix element is real, so the Hamiltonian is real symmetric and the
-eigensolver is the real one; only the six manifold components of the
-evolved state are ever formed.
+result is directly comparable to the six-amplitude integrator; that
+rotation takes its free phases exp(+i E0 t) one per sample and manifold
+state, as the formula reads.  Every matrix element is real, so the
+Hamiltonian is real symmetric and the eigensolver is the real one; only the
+six manifold components of the evolved state are ever formed.
 
 The phases exp(-iEt) are not evaluated sample by sample.  The samples of a
 trajectory lie on a uniform lattice, so `propagate` splits each sample time
@@ -313,12 +314,12 @@ def propagate(ham, psi0, times, components) -> np.ndarray:
 
 
 def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndarray:
-    """Slowly varying amplitudes: column k gains exp(+i E0 t), E0 the free energy of states[k]."""
+    """Slowly varying amplitudes: column k gains exp(+i E0 t), E0 the free energy of states[k].
+
+    One exponential per sample and column, as the formula reads.
+    """
     e0 = _free_energies(params, *_quanta(states))
-    times = np.asarray(times, dtype=float)
-    # one exponential column per distinct energy bit pattern: -0.0 never merges with 0.0
-    distinct, column = np.unique(e0.view(np.uint64), return_inverse=True)
-    return np.exp(1j * np.outer(times, distinct.view(float)))[:, column] * psi_t
+    return np.exp(1j * np.outer(times, e0)) * psi_t
 
 
 @dataclass

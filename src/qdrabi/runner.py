@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, SweepConfig, override, write_config
 from .dynamics import DynamicsSpec, TimeSeries, integrate
-from .errors import IntegrationDivergedError
+from .errors import ConfigError, IntegrationDivergedError
 from .oracle import compare, resolve_cutoffs, run_oracle
 from .serialize import (
     fmt,
@@ -204,21 +204,26 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     """Run every grid point into its own subdirectory, then summarize.
 
     Every point's grid and oracle cutoffs are checked before any output,
-    without building its spec.  Each point then runs through `run_single`,
+    without building its spec; a ConfigError there names the point and its
+    swept values.  Each point then runs through `run_single`,
     and the results are taken in point order as they arrive.  Failed points
     are recorded in the manifest and skipped in the summary; the outcome is
     `partial` if any point failed.
     """
     points = sweep.points()
-    for _, config in points:  # a bad grid or bad cutoffs at any point fail here
-        config.grid()
-        _cutoffs(config)
-    out_dir = Path(out_dir)
     width = max(3, len(str(len(points) - 1)))
 
     def name(i):
         return f"point_{i:0{width}d}"
 
+    for i, (values, config) in enumerate(points):  # a bad grid or bad cutoffs fail here
+        try:
+            config.grid()
+            _cutoffs(config)
+        except ConfigError as exc:
+            at = ", ".join(f"{axis.parameter} = {fmt(v)}" for axis, v in zip(sweep.axes, values))
+            raise ConfigError(f"{name(i)} ({at}): {exc}") from None
+    out_dir = Path(out_dir)
     jobs = ((i, out_dir / name(i), config) for i, (_, config) in enumerate(points))
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

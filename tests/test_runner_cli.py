@@ -525,9 +525,10 @@ class TestCli:
     @pytest.mark.parametrize("flags, text", [
         (["run"], FIG3_TEXT + FAST),
         (["check", "--dump-hamiltonian"], FIG3_TEXT + FAST_CHECK),
+        (["check", "--dump-hamiltonian"], FIG3_TEXT + "t_end = 2\noracle_mode = full\n"),
         (["sweep", "--workers", "2"], FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\n"
          "values = 1, 2\nparameter2 = delta_a\nvalues2 = 0.2, 1\n"),
-    ], ids=["run", "check", "sweep"])
+    ], ids=["run", "check", "check-full", "sweep"])
     def test_manifest_lists_every_file(self, tmp_path, flags, text):
         cfg_path = write(tmp_path / "in.cfg", text)
         out = tmp_path / "out"
@@ -775,6 +776,14 @@ class TestCli:
         assert main([verb, cfg_path, "--out", str(tmp_path / "out"), "--step", step]) == EXIT_USAGE
         assert "--step must be finite and > 0" in capsys.readouterr().err
 
+    def test_no_workers_exits_1(self, tmp_path, capsys):
+        cfg_path = write(tmp_path / "sweep.cfg",
+                         FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--out", str(out), "--workers", "0"]) == EXIT_USAGE
+        assert "config error: --workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, text, flags", [
         ("run", FIG3_TEXT + "step = 1e-12\n", []),
         ("run", FIG3_TEXT, ["--step", "1e-12"]),
@@ -800,7 +809,8 @@ class TestCli:
         out = tmp_path / "out"
         assert main([verb, cfg_path, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "config error: window [0, 0.5] is at most half the step 100" in err
+        point = "point_001 (step = 100): " if verb == "sweep" else ""
+        assert f"config error: {point}window [0, 0.5] is at most half the step 100" in err
         assert "Traceback" not in err
         assert not out.exists()  # rejected before any work started
 
@@ -865,6 +875,21 @@ class TestCli:
         assert "config error: " in err and "cutoffs" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, flags, message", [
+        (FIG3_TEXT + "oracle_mode = full\n[sweep]\nparameter = m\nvalues = 0, 13\n",
+         ["--oracle"], "point_001 (m = 13): full-mode cutoffs are capped at 16, got (17, 3)"),
+        (FIG3_TEXT + "t_end = 1\n[sweep]\nparameter = step\nvalues = 0.01, 5\n"
+         "parameter2 = g_nl\nvalues2 = 1.5\n", [],
+         "point_001 (step = 5, g_nl = 1.5): window [0, 1] is at most half the step 5, "
+         "so it takes no step"),
+    ], ids=["full-cap", "window"])
+    def test_point_check_error_names_the_point(self, tmp_path, capsys, text, flags, message):
+        cfg_path = write(tmp_path / "sweep.cfg", text)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--out", str(out)] + flags) == EXIT_USAGE
+        assert capsys.readouterr().err == f"qdrabi: config error: {message}\n"
+        assert not out.exists()
+
     def test_import_leaves_scipy_out(self, tmp_path):
         # scipy is a test and benchmark dependency only, and the process pool
         # is loaded only by a sweep that still has more than one worker
@@ -880,7 +905,7 @@ def unloaded():
     assert not loaded, loaded
 
 unloaded()
-for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}],
+for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}], ["preset", "fig3"],
              ["sweep", {sweep_cfg!r}, "--workers", "2"]):
     assert qdrabi.cli.main(argv + ["--out", {str(tmp_path / "out")!r} + argv[0]]) == 0
     unloaded()
@@ -888,6 +913,16 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}],
         src = str(Path(qdrabi.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], EXIT_OK), ([], EXIT_USAGE)],
+                             ids=["help", "bare"])
+    def test_python_dash_m_runs_main(self, argv, code):
+        src = str(Path(qdrabi.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "qdrabi", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert (proc.stdout if code == EXIT_OK else proc.stderr).startswith("usage: qdrabi [-h]")
 
     @pytest.mark.parametrize("axis, line, message", [
         ("parameter = g_nl\nstart = 0\ncount = 3\n", 7,
@@ -900,8 +935,11 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}],
          "sweep values2 given without parameter2"),
         ("parameter = g_nl\nvalues = 1\ncount2 = 3\nstart2 = 0\n", 8,
          "sweep values2 given without parameter2"),
+        ("parameter = g_nl\nvalues = 1\nparameter2 = g_nl\nvalues2 = 2\n", 8,
+         "parameter 'g_nl' swept twice"),
+        ("parameter = g_nl\nvalues = 1,,2\n", 7, "values has an empty entry (entry 2 of 3"),
     ], ids=["partial-range", "partial-range2", "no-values", "no-parameter", "stray-values2",
-            "stray-range2"])
+            "stray-range2", "swept-twice", "empty-entry"])
     def test_sweep_section_error_names_line(self, tmp_path, capsys, axis, line, message):
         cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + "[sweep]\n" + axis)
         out = tmp_path / "out"
