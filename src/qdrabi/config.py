@@ -19,6 +19,7 @@ Huang-Rhys factor may be given as `lambda` or derived from an explicit
 from __future__ import annotations
 
 import codecs
+import itertools
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
@@ -74,8 +75,11 @@ MAX_PHOTONS = 1_000_000_000
 # that lasts until memory runs out
 MAX_CONFIG_BYTES = 16 * 2**20
 
-_SWEEP_KEYS = {"parameter", "values", "start", "stop", "count",
-               "parameter2", "values2", "start2", "stop2", "count2"}
+# each sweep axis has these keys, spelled with its suffix: "" for the first
+# axis, "2" for the second
+_AXIS_KEYS = ("parameter", "values", "start", "stop", "count")
+_AXIS_SUFFIXES = ("", "2")
+_SWEEP_KEYS = {key + suffix for suffix in _AXIS_SUFFIXES for key in _AXIS_KEYS}
 _BOOL_TRUE = {"true", "yes", "on", "1"}
 _BOOL_FALSE = {"false", "no", "off", "0"}
 # characters of an offending text that an error quotes: a longer text is cut
@@ -182,11 +186,9 @@ class SweepConfig:
 
     def points(self) -> list[tuple[tuple, RunConfig]]:
         """Cartesian grid in row-major axis order: (swept values, point config)."""
-        grid = [()]
-        for axis in self.axes:
-            grid = [prefix + (v,) for prefix in grid for v in axis.values]
         names = [FIELD_BY_KEY[axis.parameter] for axis in self.axes]
-        return [(values, replace(self.base, **dict(zip(names, values)))) for values in grid]
+        return [(values, replace(self.base, **dict(zip(names, values))))
+                for values in itertools.product(*(axis.values for axis in self.axes))]
 
 
 def _quote(text: str) -> str:
@@ -411,40 +413,38 @@ def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
     return RunConfig(phonon_modes=spectrum_pairs, defaulted=defaulted, **values)
 
 
-def _axis_values(sweep: dict, param: str, suffix: str, outer: int) -> tuple:
-    """Checked values of one sweep axis; `outer` is the point count of the axes before it."""
-    has_values = f"values{suffix}" in sweep
-    has_range = any(f"{k}{suffix}" in sweep for k in ("start", "stop", "count"))
-    if has_values and has_range:
-        raise ConfigError(
-            f"give either values{suffix} or a start/stop/count{suffix} range, not both",
-            line=sweep[f"values{suffix}"][1],
-        )
-    if has_values:
-        text, lineno = sweep[f"values{suffix}"]
+def _axis_values(keys: dict, param: str, suffix: str, outer: int) -> tuple:
+    """Checked values of one sweep axis from its own keys, named without `suffix`.
+
+    `outer` is the point count of the axes before it.
+    """
+    range_keys = [k for k in ("start", "stop", "count") if k in keys]
+    if "values" in keys and range_keys:
+        raise ConfigError(f"give either values{suffix} or a start/stop/count{suffix} range, "
+                          f"not both", line=keys["values"][1])
+    if "values" in keys:
+        text, lineno = keys["values"]
         parts = _entries(f"values{suffix}", text, lineno)
         count = len(parts)
-    elif has_range:
-        keys = [f"{k}{suffix}" for k in ("start", "stop", "count")]
-        missing = [k for k in keys if k not in sweep]
+    elif range_keys:
+        missing = [k + suffix for k in ("start", "stop", "count") if k not in keys]
         if missing:
-            given = next(k for k in keys if k in sweep)
-            raise ConfigError(f"linear range needs {keys[0]}, {keys[1]} and {keys[2]}; "
-                              f"missing {' and '.join(missing)}", line=sweep[given][1])
-        start_text, start_line = sweep[f"start{suffix}"]
+            raise ConfigError(f"linear range needs start{suffix}, stop{suffix} and count{suffix}; "
+                              f"missing {' and '.join(missing)}", line=keys[range_keys[0]][1])
+        start_text, start_line = keys["start"]
         start = _parse_float("start", start_text, start_line)
-        stop = _parse_float("stop", *sweep[f"stop{suffix}"])
-        count_text, lineno = sweep[f"count{suffix}"]
+        stop = _parse_float("stop", *keys["stop"])
+        count_text, lineno = keys["count"]
         count = _parse_int("count", count_text, lineno)
         if count < 1:
             raise ConfigError("'count': must be >= 1", line=lineno)
     else:
         raise ConfigError(f"sweep axis '{param}' has no values{suffix} or range",
-                          line=sweep[f"parameter{suffix}"][1])
+                          line=keys["parameter"][1])
     if outer * count > MAX_POINTS:
         raise ConfigError(f"sweep grid of {outer * count} points is more than the limit "
                           f"of {MAX_POINTS}", line=lineno)
-    if has_values:
+    if "values" in keys:
         return tuple(_value(param, p, lineno) for p in parts)
 
     if count == 1:
@@ -469,28 +469,23 @@ def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
         first_line = next(iter(sweep.values()))[1]
         raise ConfigError("[sweep] section needs a 'parameter' key", line=first_line)
     axes = []
-    swept = set()
-    for suffix in ("", "2"):
-        pkey = f"parameter{suffix}"
-        if pkey not in sweep:
-            stray = [sweep[k + suffix][1] for k in ("values", "start", "stop", "count")
-                     if k + suffix in sweep]
-            if stray:
-                raise ConfigError(f"sweep values{suffix} given without {pkey}", line=min(stray))
+    for suffix in _AXIS_SUFFIXES:
+        keys = {key: sweep[key + suffix] for key in _AXIS_KEYS if key + suffix in sweep}
+        if "parameter" not in keys:
+            if keys:
+                raise ConfigError(f"sweep values{suffix} given without parameter{suffix}",
+                                  line=min(line for _, line in keys.values()))
             continue
-        param, lineno = sweep[pkey]
+        param, lineno = keys["parameter"]
         if param not in SWEEPABLE_KEYS:
-            raise ConfigError(
-                f"cannot sweep {_quote(param)}; sweepable keys: {', '.join(SWEEPABLE_KEYS)}",
-                line=lineno,
-            )
-        if param in swept:
+            raise ConfigError(f"cannot sweep {_quote(param)}; sweepable keys: "
+                              f"{', '.join(SWEEPABLE_KEYS)}", line=lineno)
+        if any(axis.parameter == param for axis in axes):
             raise ConfigError(f"parameter '{param}' swept twice", line=lineno)
-        swept.add(param)
         outer = math.prod(len(axis.values) for axis in axes)
-        axes.append(SweepAxis(parameter=param, values=_axis_values(sweep, param, suffix, outer)))
-    base = _resolve_run(run, swept)
-    return SweepConfig(base=base, axes=tuple(axes))
+        axes.append(SweepAxis(parameter=param, values=_axis_values(keys, param, suffix, outer)))
+    return SweepConfig(base=_resolve_run(run, {axis.parameter for axis in axes}),
+                       axes=tuple(axes))
 
 
 def parse_config(text: str):
@@ -559,7 +554,7 @@ def write_config(config) -> str:
     if isinstance(config, SweepConfig):
         lines.append("")
         lines.append("[sweep]")
-        for axis, suffix in zip(config.axes, ("", "2")):
+        for axis, suffix in zip(config.axes, _AXIS_SUFFIXES):
             lines.append(f"parameter{suffix} = {axis.parameter}")
             lines.append(f"values{suffix} = " + ", ".join(fmt(v) for v in axis.values))
     return "\n".join(lines) + "\n"
