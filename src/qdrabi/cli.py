@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Verbs: run, sweep, check, preset.  Exit codes: 0 success, 1 usage or
-config error, 2 numerical failure (divergence, failed point), 3 oracle
+Verbs: run, sweep, check, preset.  Exit codes: 0 success, 1 usage, config
+or output error, 2 numerical failure (divergence, failed point), 3 oracle
 mismatch.
 """
 
@@ -109,6 +109,7 @@ def main(argv=None) -> int:
         # each warning is one stderr line, like the errors below
         warnings.showwarning = lambda message, *_: print(f"qdrabi: warning: {message}",
                                                          file=sys.stderr)
+        stage = "config"  # an OSError once the config is read comes from the outputs
         try:
             if args.verb == "preset":
                 config = preset_config(args.name)
@@ -121,6 +122,7 @@ def main(argv=None) -> int:
             if args.verb == "sweep" and args.workers < 1:
                 raise ConfigError("--workers must be >= 1")
             config = override(config, step=args.step, oracle=getattr(args, "oracle", False))
+            stage = "output"
             if args.verb == "sweep":
                 outcome = run_sweep(config, args.out, workers=args.workers)
             elif args.verb == "check":
@@ -129,7 +131,8 @@ def main(argv=None) -> int:
                 verb = "run" if args.verb == "run" else f"preset {args.name}"
                 outcome = run_single(config, args.out, verb=verb)
         except (ConfigError, OSError) as exc:
-            print(f"qdrabi: config error: {exc}", file=sys.stderr)
+            kind = stage if isinstance(exc, OSError) else "config"
+            print(f"qdrabi: {kind} error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except (RuntimeError, FloatingPointError) as exc:
             print(f"qdrabi: numerical failure: {exc}", file=sys.stderr)

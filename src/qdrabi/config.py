@@ -41,6 +41,7 @@ __all__ = [
     "PRESET_NAMES",
     "MAX_STEPS",
     "MAX_ROWS",
+    "MAX_SWEEP_ROWS",
     "MAX_POINTS",
     "MAX_PHOTONS",
     "MAX_CONFIG_BYTES",
@@ -59,6 +60,11 @@ MAX_STEPS = 10_000_000
 # samples one trajectory may keep: each is a row of trajectory.csv and p2.csv
 # (about 300 MB of text at this limit), 400x the default grid
 MAX_ROWS = 1_000_000
+# samples all the points of one sweep may keep together, checked before any
+# output: at ~263 B of trajectory.csv and p2.csv text a row, about 26 GB, where
+# MAX_POINTS points at MAX_ROWS rows each would write some 26 TB.  A 100 x 100
+# map on the default grid keeps 2.5 x 10^7 rows and still runs
+MAX_SWEEP_ROWS = 100_000_000
 # points one sweep grid may have.  Only each point's grid and oracle cutoffs are
 # checked before the first runs (about 2 s and 76 MiB peak RSS at this limit, a
 # g_nl sweep on a 2-core x86 host), so the check is cheap; the bound is kept for
@@ -447,10 +453,10 @@ def _axis_values(keys: dict, param: str, suffix: str, outer: int) -> tuple:
     if "values" in keys:
         return tuple(_value(param, p, lineno) for p in parts)
 
-    if count == 1:
-        vals = [start]
-    else:
-        vals = [start + i * (stop - start) / (count - 1) for i in range(count)]
+    # the ends are start and stop exactly, where the formula may miss stop by a
+    # few ulps; a count of 1 keeps start alone
+    inner = [start + i * (stop - start) / (count - 1) for i in range(1, count - 1)]
+    vals = [start, *inner, stop][:count]
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"start{suffix}..stop{suffix} range is not finite", line=start_line)
     if _KEYS[param][1] is _parse_int:  # photon numbers

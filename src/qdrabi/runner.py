@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, SweepConfig, override, write_config
+from .config import MAX_SWEEP_ROWS, RunConfig, SweepConfig, override, write_config
 from .dynamics import DynamicsSpec, TimeSeries, integrate
 from .errors import ConfigError, IntegrationDivergedError
 from .oracle import compare, resolve_cutoffs, run_oracle
@@ -205,7 +205,8 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
 
     Every point's grid and oracle cutoffs are checked before any output,
     without building its spec; a ConfigError there names the point and its
-    swept values.  Each point then runs through `run_single`,
+    swept values.  The samples all the points keep together are bounded
+    there too, by MAX_SWEEP_ROWS.  Each point then runs through `run_single`,
     and the results are taken in point order as they arrive.  Failed points
     are recorded in the manifest and skipped in the summary; the outcome is
     `partial` if any point failed.
@@ -216,13 +217,17 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     def name(i):
         return f"point_{i:0{width}d}"
 
+    samples = 0
     for i, (values, config) in enumerate(points):  # a bad grid or bad cutoffs fail here
         try:
-            config.grid()
+            samples += config.grid().n_samples()
             _cutoffs(config)
         except ConfigError as exc:
             at = ", ".join(f"{axis.parameter} = {fmt(v)}" for axis, v in zip(sweep.axes, values))
             raise ConfigError(f"{name(i)} ({at}): {exc}") from None
+    if samples > MAX_SWEEP_ROWS:
+        raise ConfigError(f"sweep of {len(points)} points keeps {samples} samples, more than the "
+                          f"limit of {MAX_SWEEP_ROWS} rows")
     out_dir = Path(out_dir)
     jobs = ((i, out_dir / name(i), config) for i, (_, config) in enumerate(points))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,7 +236,10 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     axis_names = [axis.parameter for axis in sweep.axes]
     rows = [",".join(axis_names + list(SUMMARY_COLUMNS))]
     point_entries, point_files, failed = [], {}, 0
-    workers = min(workers, len(points), os.cpu_count() or 1)
+    # the CPUs this process may run on (taskset, a cpuset), not all of the host's
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(points), cpus)
     # about 32 chunks a worker: large grids amortise the per-item round trip
     # and the last chunks still balance the workers
     chunksize = max(1, len(points) // (32 * workers))

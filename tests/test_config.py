@@ -161,6 +161,14 @@ class TestSweepParsing:
         cfg = parse_config(self.BASE + "[sweep]\nparameter = lambda\nstart = 0\nstop = 1\ncount = 5\n")
         assert cfg.axes[0].values == (0.0, 0.25, 0.5, 0.75, 1.0)
 
+    def test_range_ends_exactly_at_stop(self):
+        # start + 9 * (stop - start) / 9 is 0.050000000000000266
+        cfg = parse_config(self.BASE + "[sweep]\nparameter = lambda\nstart = 3.9\nstop = 0.05\n"
+                           "count = 10\n")
+        values = cfg.axes[0].values
+        assert (values[0], values[-1], len(values)) == (3.9, 0.05, 10)
+        assert values[1] == 3.9 + (0.05 - 3.9) / 9
+
     def test_single_count_range(self):
         cfg = parse_config(self.BASE + "[sweep]\nparameter = lambda\nstart = 0.3\nstop = 9\ncount = 1\n")
         assert cfg.axes[0].values == (0.3,)
@@ -225,9 +233,9 @@ def sweep_axis(draw):
     key = draw(st.sampled_from(SWEEPABLE_KEYS))
     if draw(st.booleans()):
         values = draw(st.lists(number, min_size=1, max_size=4))
-        return key, "values = " + ", ".join(map(repr, values))
+        return key, "values = " + ", ".join(map(repr, values)), None
     start, stop, count = draw(number), draw(number), draw(st.integers(1, 4))
-    return key, f"start = {start!r}\nstop = {stop!r}\ncount = {count}"
+    return key, f"start = {start!r}\nstop = {stop!r}\ncount = {count}", (start, stop, count)
 
 
 class TestSweepProperty:
@@ -236,7 +244,7 @@ class TestSweepProperty:
     def test_every_point_builds_or_config_error(self, axis):
         # any other exception fails the test: swept values must be checked
         # like [run] values, not surface later as a traceback
-        key, lines = axis
+        key, lines, ends = axis
         try:
             cfg = parse_config(TestSweepParsing.BASE + f"[sweep]\nparameter = {key}\n{lines}\n")
             points = cfg.points()
@@ -245,6 +253,10 @@ class TestSweepProperty:
         except ConfigError:
             return
         assert all(getattr(point, FIELD_BY_KEY[key]) == value for (value,), point in points)
+        if ends is not None:  # a range starts at start and, past one value, ends at stop
+            start, stop, count = ends
+            values = cfg.axes[0].values
+            assert values[0] == start and (count == 1 or values[-1] == stop)
 
 
 class TestRoundTrip:

@@ -25,8 +25,8 @@ from qdrabi import (
     verify_manifest,
 )
 from qdrabi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_ORACLE, EXIT_USAGE, main
-from qdrabi.config import (FIELD_BY_KEY, MAX_CONFIG_BYTES, MAX_ROWS, MAX_STEPS, SWEEPABLE_KEYS,
-                           RunConfig)
+from qdrabi.config import (FIELD_BY_KEY, MAX_CONFIG_BYTES, MAX_ROWS, MAX_STEPS, MAX_SWEEP_ROWS,
+                           SWEEPABLE_KEYS, RunConfig)
 from qdrabi.serialize import fmt, parse_manifest
 
 FIG3_TEXT = "g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
@@ -45,6 +45,35 @@ DIVERGING_TEXT = (
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def usable_cpus():
+    """The CPUs this process may run on, which cap a sweep's workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the sweep's process pool by one that maps in this process; yield its sizes."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    return started
 
 
 def output_files(out_dir):
@@ -335,7 +364,7 @@ class TestSweep:
                     and not (line.startswith("file.") and "manifest.txt " in line)]
 
         # only the worker count may differ
-        workers = min(2, os.cpu_count() or 1)
+        workers = min(2, usable_cpus())
         assert manifest_lines("par") == [f"workers = {workers}" if line == "workers = 1" else line
                                          for line in manifest_lines("seq")]
 
@@ -362,51 +391,41 @@ class TestSweep:
         monkeypatch.undo()
         verify_manifest(tmp_path / "sweep" / "manifest.txt")
 
-    def test_workers_capped_at_point_count(self, tmp_path, monkeypatch):
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    def test_workers_capped_at_point_count(self, tmp_path, inline_pool):
         cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2\n")
         assert run_sweep(cfg, tmp_path / "sweep", workers=64).status == "ok"
-        assert started == [2]
+        assert inline_pool == [2]
 
 
-    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        started = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch, inline_pool):
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2, 3, 4, 5\n")
         assert run_sweep(cfg, tmp_path / "sweep", workers=5000).status == "ok"
-        assert started == [4]
+        assert inline_pool == [4]
         entries = parse_manifest(tmp_path / "sweep" / "manifest.txt")
         assert entries["workers"] == "4"
+
+    def test_workers_capped_at_usable_cpus_not_host_cpus(self, tmp_path, monkeypatch,
+                                                         inline_pool):
+        # pinned to 2 of the host's 64 CPUs, as by taskset or a cpuset
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {5, 9}, raising=False)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2, 3, 4, 5\n")
+        assert run_sweep(cfg, tmp_path / "sweep", workers=8).status == "ok"
+        assert inline_pool == [2]
+        assert parse_manifest(tmp_path / "sweep" / "manifest.txt")["workers"] == "2"
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_workers_capped_at_cpu_count_without_affinity(self, tmp_path, monkeypatch,
+                                                          inline_pool, cpus, workers):
+        # a platform with no sched_getaffinity; cpu_count() may not know the count
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2, 3, 4, 5\n")
+        assert run_sweep(cfg, tmp_path / "sweep", workers=8).status == "ok"
+        assert inline_pool == ([workers] if workers > 1 else [])
+        assert parse_manifest(tmp_path / "sweep" / "manifest.txt")["workers"] == str(workers)
 
     def test_pool_class_resolved_at_call_time(self, tmp_path, monkeypatch):
         # perfbench subclasses runner.ProcessPoolExecutor, so it must be the real class
@@ -419,7 +438,7 @@ class TestSweep:
                 return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = parse_config(FIG3_TEXT + FAST + "[sweep]\nparameter = g_nl\nvalues = 1, 2, 3\n")
         run_sweep(cfg, tmp_path / "seq", workers=1)
         assert maps == []
@@ -447,7 +466,7 @@ class TestSweep:
         point = parse_manifest(tmp_path / "sweep" / "point_001" / "manifest.txt")
         assert entries["point.point_001.error"] == point["error"]
         assert point["t_final"] == "50"
-        assert entries["workers"] == str(min(workers, os.cpu_count() or 1))
+        assert entries["workers"] == str(min(workers, usable_cpus()))
 
 
     def test_nonfinite_oracle_hamiltonian_point_is_partial(self, tmp_path):
@@ -827,6 +846,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "keeps 2500001 samples" in err and f"limit of {MAX_ROWS} rows" in err
         assert not out.exists()  # rejected before any work started
+
+    def test_sweep_row_total_limit_exits_1(self, tmp_path, capsys, monkeypatch):
+        # each point keeps MAX_ROWS samples, within every per-point limit, but
+        # 101 of them pass the sweep's total; only the point grids are built
+        def no_run(job):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(runner, "_sweep_point", no_run)
+        text = (FIG3_TEXT + "t_end = 999.999\nsamples = 1000000\n"
+                "[sweep]\nparameter = g_nl\nstart = 1\nstop = 2\ncount = 101\n")
+        assert parse_config(text).points()[0][1].grid().n_samples() == MAX_ROWS
+        cfg_path = write(tmp_path / "sweep.cfg", text)
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"qdrabi: config error: sweep of 101 points keeps {101 * MAX_ROWS} samples, more "
+            f"than the limit of {MAX_SWEEP_ROWS} rows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, kind", [
+        ("config", "config"),  # the config file cannot be read
+        ("out-is-a-file", "output"),  # --out names a file, so no directory can be made there
+        ("file-is-a-directory", "output"),  # a directory stands where a file is written
+    ])
+    def test_os_error_names_its_stage(self, tmp_path, capsys, where, kind):
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST)
+        out = tmp_path / "out"
+        if where == "config":
+            cfg_path = str(tmp_path / "missing.cfg")
+        elif where == "out-is-a-file":
+            out.write_text("")
+        else:
+            (out / "trajectory.csv").mkdir(parents=True)
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"qdrabi: {kind} error: [Errno ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["cutoff_a = -3\n", "cutoff_b = -1\n",
                                       "m = 1" + "0" * 200 + "\n"],
