@@ -83,7 +83,8 @@ MAX_CONFIG_BYTES = 16 * 2**20
 
 # each sweep axis has these keys, spelled with its suffix: "" for the first
 # axis, "2" for the second
-_AXIS_KEYS = ("parameter", "values", "start", "stop", "count")
+_RANGE_KEYS = ("start", "stop", "count")
+_AXIS_KEYS = ("parameter", "values", *_RANGE_KEYS)
 _AXIS_SUFFIXES = ("", "2")
 _SWEEP_KEYS = {key + suffix for suffix in _AXIS_SUFFIXES for key in _AXIS_KEYS}
 _BOOL_TRUE = {"true", "yes", "on", "1"}
@@ -424,7 +425,7 @@ def _axis_values(keys: dict, param: str, suffix: str, outer: int) -> tuple:
 
     `outer` is the point count of the axes before it.
     """
-    range_keys = [k for k in ("start", "stop", "count") if k in keys]
+    range_keys = [k for k in _RANGE_KEYS if k in keys]
     if "values" in keys and range_keys:
         raise ConfigError(f"give either values{suffix} or a start/stop/count{suffix} range, "
                           f"not both", line=keys["values"][1])
@@ -433,7 +434,7 @@ def _axis_values(keys: dict, param: str, suffix: str, outer: int) -> tuple:
         parts = _entries(f"values{suffix}", text, lineno)
         count = len(parts)
     elif range_keys:
-        missing = [k + suffix for k in ("start", "stop", "count") if k not in keys]
+        missing = [k + suffix for k in _RANGE_KEYS if k not in keys]
         if missing:
             raise ConfigError(f"linear range needs start{suffix}, stop{suffix} and count{suffix}; "
                               f"missing {' and '.join(missing)}", line=keys[range_keys[0]][1])
