@@ -18,10 +18,10 @@ Those phases make the generator covariant under time shifts, so the
 classical RK4 scheme is one constant 12x12 step matrix in a co-moving
 frame.  `integrate` builds that matrix from the equations once, raises it
 to the output stride in increment form (the power minus the identity, which
-keeps the O(h) step's digits), advances a block of up to 64 samples per
-product from the block's first state and rotates the samples back.  It is
-the same RK4 solution as stepping one step at a time, to rounding, and
-stays bit-reproducible.
+keeps the O(h) step's digits), fills the samples by doubling (one product
+advances every sample found so far, then the power is squared) and rotates
+the samples back.  It is the same RK4 solution as stepping one step at a
+time, to rounding, and stays bit-reproducible.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ __all__ = [
 SLOTS = ("a", "b", "c", "d", "e", "f")
 # the 12 reals in storage order, a1, a2, b1, .., f2: 1 the real part, 2 the imaginary
 AMPLITUDE_COLUMNS = tuple(f"{slot}{part}" for slot in SLOTS for part in "12")
-
-# samples advanced per matrix product in `integrate`
-_BLOCK_SAMPLES = 64
 
 # Bound on rho^n_steps, the growth of the fastest mode of the co-moving RK4
 # step over the whole window (rho its spectral radius): a step past the
@@ -287,11 +284,13 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
     The RK4 step from t_k is R(t_k) P R(t_k)^T for one constant 12x12 step
     matrix P, so in the co-moving frame z = R(t)^T y every step is the same
     matrix Q = R(h)^T P.  Q is raised to the output stride once, in
-    increment form (J = Q^s - I); the powers (I + J)^i - I, i = 1..64, are
-    stacked so that one product advances a block of 64 samples from the
-    block's first state.  The samples are then rotated back to the lab
-    frame.  This is the same RK4 solution as stepping one step at a time,
-    to rounding.
+    increment form (J = Q^s - I), and the samples are filled by doubling:
+    with L samples known, one product with (I + J)^L - I gives the next L,
+    and squaring it in increment form gives the power for the next round,
+    so n samples take about log2(n) products.  An off-stride final sample
+    is the last full one advanced by its own power of Q.  The samples are
+    then rotated back to the lab frame.  This is the same RK4 solution as
+    stepping one step at a time, to rounding.
 
     Deterministic: identical specs give bit-identical samples.  Raises
     IntegrationDivergedError before any step if a detuning phase over one
@@ -334,26 +333,24 @@ def integrate(spec: DynamicsSpec) -> TimeSeries:
                     f"more than the bound {_MAX_GROWTH!r}",
                     t_last=float(t0))
 
+        # every stride-th step before the last, then the last
+        ks = np.append(np.arange(0, n_steps, stride), n_steps)
         n_full, rest = divmod(n_steps, stride)
-        ks = np.arange(n_full + 1) * stride
-        if rest:
-            ks = np.append(ks, n_steps)
         z = np.empty((len(ks), 12))
         # reshape rejects other than 12 reals
-        z[0] = cur = _rotate(np.array(spec.y0, dtype=float).reshape(12), -t0, rates)
-        # (I + jump)^i - I for i = 1..block, stacked, so a block of samples
-        # is one product with the state at the block's start
+        z[0] = _rotate(np.array(spec.y0, dtype=float).reshape(12), -t0, rates)
+        # doubling: with samples 0..lo-1 filled and jump = Q^(lo*stride) - I,
+        # one product advances them to samples lo..2lo-1; then jump is squared
         jump = _power(step, stride)
-        powers = [jump]
-        for _ in range(1, min(_BLOCK_SAMPLES, n_full)):
-            powers.append(_compose(powers[-1], jump))
-        stacked = np.concatenate(powers)
-        for j in range(0, n_full, len(powers)):
-            m = min(len(powers), n_full - j)
-            z[j + 1:j + 1 + m] = cur + (stacked[:12 * m] @ cur).reshape(m, 12)
-            cur = z[j + m]
+        lo = 1
+        while lo <= n_full:
+            hi = min(2 * lo, n_full + 1)
+            np.matmul(z[:hi - lo], jump.T, out=z[lo:hi])
+            z[lo:hi] += z[:hi - lo]
+            jump = _compose(jump, jump)
+            lo = hi
         if rest:
-            z[-1] = cur + _power(step, rest) @ cur
+            z[-1] = z[n_full] + _power(step, rest) @ z[n_full]
 
         t_arr = t0 + ks * h
         t_arr[0] = t0  # t0 + 0*h would turn a t_start of -0.0 into 0.0

@@ -41,9 +41,13 @@ class TestRunParsing:
             parse_config(text)
         assert "bogus" in str(err.value)
 
-    def test_type_mismatch_reports_line(self):
-        text = "g_nl = twelve\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n"
-        with pytest.raises(ConfigError, match="line 1"):
+    @pytest.mark.parametrize("text, line, reason", [
+        ("g_nl = twelve\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n", 1, ""),
+        ("g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\noracle = maybe\n", 5,
+         "expected true/false for 'oracle', got 'maybe'"),
+    ], ids=["float", "bool"])
+    def test_type_mismatch_reports_line(self, text, line, reason):
+        with pytest.raises(ConfigError, match=f"line {line}: .*{reason}"):
             parse_config(text)
 
     def test_duplicate_key_rejected(self):
@@ -103,6 +107,8 @@ class TestRunParsing:
         pytest.param("lambda = 0.01\n", "1e160:1e-10", "", id="direct-lambda-shift-inf"),
         pytest.param("", "", "phonon_modes is empty", id="empty"),
         pytest.param("", "0.1:1.0,", "phonon_modes has an empty entry", id="trailing-comma"),
+        pytest.param("", "0.1", "phonon_modes entries are coupling:frequency pairs, got '0.1'",
+                     id="no-colon"),
     ])
     def test_bad_phonon_mode_reports_line(self, extra, modes, reason):
         text = f"g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\n{extra}phonon_modes = {modes}\n"

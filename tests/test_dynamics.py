@@ -233,6 +233,19 @@ PROPAGATOR_CASES = {
 }
 
 
+def _sample_edge(n_full, rest=0, stride=3, h=1e-2):
+    """fig3 from RANDOM_Y0 over n_full strides of 3 steps, then `rest` steps more."""
+    return _fig("fig3", RANDOM_Y0, t_end=(n_full * stride + rest) * h, step=h,
+                sample_every=stride)
+
+
+# n_full + 1 on-stride samples, filled in doubling rounds of 1, 2, 4, .. samples:
+# edges of the first rounds and of the round that ends at 1024
+PROPAGATOR_CASES.update({
+    f"n_full_{n}": (lambda n=n: _sample_edge(n)) for n in (1, 2, 3, 4, 5, 1023, 1024, 1025)})
+PROPAGATOR_CASES["n_full_1024_off_stride"] = lambda: _sample_edge(1024, rest=2)
+
+
 class TestStepMatrixPropagator:
     @pytest.mark.parametrize("case", sorted(PROPAGATOR_CASES))
     def test_matches_per_step_reference(self, case):
@@ -421,6 +434,15 @@ class TestValidation:
         # a window of at most half a step rounds to no step
         with pytest.raises(ValueError, match="so it takes no step"):
             TimeGrid(0.0, 0.5, 100.0, 1)
+
+    def test_grid_rejects_zero_sample_every(self):
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            TimeGrid(0.0, 1.0, 1e-3, 0)
+
+    @pytest.mark.parametrize("baseline", [jc_baseline, nl_block_baseline])
+    def test_baselines_reject_negative_coupling(self, baseline):
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            baseline(np.linspace(0.0, 1.0, 3), -1.0)
 
     def test_spec_rejects_zero_initial_norm(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import codecs
 import concurrent.futures
+import hashlib
 import math
 import os
 import subprocess
@@ -219,6 +220,18 @@ class TestOracleCheck:
         dump = (tmp_path / "out" / "hamiltonian.txt").read_text().splitlines()
         assert len(dump) == 6  # restricted mode: the manifold block, a..f
         verify_manifest(tmp_path / "out" / "manifest.txt")
+
+    def test_failed_eigendecomposition_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing_eigh(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
+        assert main(["check", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("qdrabi: numerical failure: eigendecomposition failed for a 6x6 ")
+        assert err.endswith(": Eigenvalues did not converge\n")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["restricted", "full"])
     def test_nonfinite_oracle_result_exits_3(self, tmp_path, capsys, mode):
@@ -969,6 +982,20 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}], ["preset", "fig3"],
         src = str(Path(qdrabi.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_blas_threads_leave_trajectory_bytes_unchanged(self, tmp_path):
+        # 25,001 samples: the last doubling round advances 8,617 rows in one
+        # product, large enough for OpenBLAS to split it across threads
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + "samples = 20000\n")
+        src = str(Path(qdrabi.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "qdrabi", "run", cfg_path, "--out", str(out)],
+                           env=env, capture_output=True, check=True, timeout=60)
+            digests.append(hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("argv, code", [(["--help"], EXIT_OK), ([], EXIT_USAGE)],
                              ids=["help", "bare"])
