@@ -233,10 +233,9 @@ PROPAGATOR_CASES = {
 }
 
 
-def _sample_edge(n_full, rest=0, stride=3, h=1e-2):
-    """fig3 from RANDOM_Y0 over n_full strides of 3 steps, then `rest` steps more."""
-    return _fig("fig3", RANDOM_Y0, t_end=(n_full * stride + rest) * h, step=h,
-                sample_every=stride)
+def _sample_edge(n_full, rest=0):
+    """fig3 from RANDOM_Y0 at step 1e-2 over n_full strides of 3 steps, then `rest` steps more."""
+    return _fig("fig3", RANDOM_Y0, t_end=(3 * n_full + rest) * 1e-2, step=1e-2, sample_every=3)
 
 
 # n_full + 1 on-stride samples, filled in doubling rounds of 1, 2, 4, .. samples:
