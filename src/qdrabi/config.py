@@ -206,19 +206,20 @@ def _quote(text: str) -> str:
 
 
 def _tokenize(text: str):
-    """Yield (section, key, value, lineno); keys before a header sit in 'run'."""
+    """Yield (section, key, value, lineno); keys before a header sit in 'run'.
+
+    A header yields its section with key and value None.
+    """
     section = "run"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            if line == "[run]":
-                section = "run"
-            elif line == "[sweep]":
-                section = "sweep"
-            else:
+            if line not in ("[run]", "[sweep]"):
                 raise ConfigError(f"unknown section {_quote(line)}", line=lineno)
+            section = line[1:-1]
+            yield section, None, None, lineno
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {_quote(line)}", line=lineno)
@@ -332,16 +333,22 @@ def _parse_modes(text, lineno) -> tuple[tuple[float, float], ...]:
 
 
 def _collect(text: str):
+    """The [run] and [sweep] key tables, and the first [sweep] header's line or None."""
     run: dict[str, tuple[str, int]] = {}
     sweep: dict[str, tuple[str, int]] = {}
+    header = None
     for section, key, value, lineno in _tokenize(text):
+        if key is None:  # a section header
+            if header is None and section == "sweep":
+                header = lineno
+            continue
         table, known = (run, _RUN_KEYS) if section == "run" else (sweep, _SWEEP_KEYS)
         if key not in known:
             raise ConfigError(f"unknown key {_quote(key)} in [{section}] section", line=lineno)
         if key in table:
             raise ConfigError(f"duplicate key '{key}'", line=lineno)
         table[key] = (value, lineno)
-    return run, sweep
+    return run, sweep, header
 
 
 def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
@@ -471,9 +478,10 @@ def _axis_values(keys: dict, param: str, suffix: str, outer: int) -> tuple:
     return tuple(vals)
 
 
-def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
+def _resolve_sweep(run: dict, sweep: dict, header: int) -> SweepConfig:
     if "parameter" not in sweep:
-        first_line = next(iter(sweep.values()))[1]
+        # the first key's line, or the header's in a section with no keys
+        first_line = next(iter(sweep.values()), (None, header))[1]
         raise ConfigError("[sweep] section needs a 'parameter' key", line=first_line)
     axes = []
     for suffix in _AXIS_SUFFIXES:
@@ -497,9 +505,9 @@ def _resolve_sweep(run: dict, sweep: dict) -> SweepConfig:
 
 def parse_config(text: str):
     """Parse config text into a RunConfig or, if a [sweep] section exists, a SweepConfig."""
-    run, sweep = _collect(text)
-    if sweep:
-        return _resolve_sweep(run, sweep)
+    run, sweep, header = _collect(text)
+    if header is not None:
+        return _resolve_sweep(run, sweep, header)
     return _resolve_run(run, set())
 
 

@@ -5,9 +5,11 @@ fundamental photons, second-harmonic photons), propagates exactly by
 spectral decomposition, and rotates into the interaction picture so the
 result is directly comparable to the six-amplitude integrator; that
 rotation takes its free phases exp(+i E0 t) one per sample and manifold
-state, as the formula reads.  Every matrix element is real, so the
-Hamiltonian is real symmetric and the eigensolver is the real one; only the
-six manifold components of the evolved state are ever formed.
+state, as the formula reads.  Every coupling term lies off the diagonal, so
+the free energies E0 are the Hamiltonian's own diagonal entries.  Every
+matrix element is real, so the Hamiltonian is real symmetric and the
+eigensolver is the real one; only the six manifold components of the
+evolved state are ever formed.
 
 The phases exp(-iEt) are not evaluated sample by sample.  The samples of a
 trajectory lie on a uniform lattice, so `propagate` splits each sample time
@@ -144,11 +146,6 @@ def _quanta(states) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=3 * len(states)).reshape(-1, 3).T
 
 
-def _free_energies(params: ModelParams, s, m, n) -> np.ndarray:
-    """Diagonal of the uncoupled Hamiltonian; the shifted exciton level sits on s=2 only."""
-    return params.omega_a * m + params.omega_b * n + params.omega_ex * (s - 1)
-
-
 def _row_table(s, m, n):
     """A lookup from (s, m, n) arrays to the rows of those states, -1 where absent.
 
@@ -196,7 +193,8 @@ def build_hamiltonian(
     upper = np.flatnonzero(s == 2)
     mu, nu = m[upper], n[upper]
     with np.errstate(over="ignore", invalid="ignore"):
-        ham = np.diag(_free_energies(params, s, m, n))
+        # free energies; the shifted exciton level sits on s=2 only
+        ham = np.diag(params.omega_a * m + params.omega_b * n + params.omega_ex * (s - 1))
         # (rows, partner rows with more photons, element), one per ladder term:
         # sigma+ a + h.c.      |2,m,n> <-> |1,m+1,n>,   element sqrt(m+1)
         # sigma+ b + h.c.      |2,m,n> <-> |1,m,n+1>,   element sqrt(n+1)
@@ -313,12 +311,13 @@ def propagate(ham, psi0, times, components) -> np.ndarray:
     return out
 
 
-def to_interaction_picture(psi_t, times, params: ModelParams, states) -> np.ndarray:
-    """Slowly varying amplitudes: column k gains exp(+i E0 t), E0 the free energy of states[k].
+def to_interaction_picture(psi_t, times, e0) -> np.ndarray:
+    """Slowly varying amplitudes: column k gains exp(+i e0[k] t).
 
-    One exponential per sample and column, as the formula reads.
+    e0[k] is the free energy of column k's state, its entry on the
+    Hamiltonian's diagonal.  One exponential per sample and column, as the
+    formula reads.
     """
-    e0 = _free_energies(params, *_quanta(states))
     return np.exp(1j * np.outer(times, e0)) * psi_t
 
 
@@ -358,9 +357,9 @@ def run_oracle(
     times = np.asarray(times, dtype=float)
     t0 = times[0] if len(times) else 0.0
 
-    six = manifold_states(index)
     slots = ham.manifold
-    psi0 = np.zeros(len(ham.states), dtype=complex)
+    e0 = ham.matrix[slots, slots]  # the free energies: every coupling lies off the diagonal
+    psi0 = np.zeros(len(ham.matrix), dtype=complex)
     # the (re, im) pairs read as complex; reshape rejects other than 12 reals
     psi0[slots] = np.array(y0, dtype=float).view(complex).reshape(6)
 
@@ -368,13 +367,13 @@ def run_oracle(
     # non-finite result; numpy's warnings about them would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         if t0 != 0.0:  # at t0 = 0 psi0 is y0 itself, signs of zero included
-            psi0[slots] *= np.exp(-1j * _free_energies(params, *_quanta(six)) * t0)
+            psi0[slots] *= np.exp(-1j * e0 * t0)
         psi_t = propagate(ham.matrix, psi0, times - t0, slots)
         # unitary evolution keeps the norm of psi0; the eigenvector matrix is
         # unitary, so it equals the sum of |eigen-coefficient|^2 as well
         norm = np.full(len(psi_t), float(np.vdot(psi0, psi0).real))
         inside = (np.abs(psi_t) ** 2).sum(axis=1)
-        amps_c = to_interaction_picture(psi_t, times, params, six)
+        amps_c = to_interaction_picture(psi_t, times, e0)
 
     # each complex amplitude read as its (re, im) pair of columns
     return OracleResult(t=times, amplitudes=amps_c.view(float), norm=norm, leakage=norm - inside,

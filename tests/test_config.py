@@ -200,6 +200,18 @@ class TestSweepParsing:
         with pytest.raises(ConfigError, match="cannot sweep"):
             parse_config(self.BASE + "[sweep]\nparameter = initial\nvalues = a, b\n")
 
+    @pytest.mark.parametrize("tail, line", [
+        ("[sweep]\n", 5),
+        ("[sweep]\n# no keys\n[run]\nt_end = 10\n", 5),
+        ("[sweep]\n[sweep]\n", 5),
+        ("[sweep]\n[run]\nt_end = 10\n[sweep]\nvalues = 1\n", 9),
+    ], ids=["empty", "empty-then-run", "two-empty", "keys-later"])
+    def test_sweep_section_without_parameter_names_line(self, tail, line):
+        # the first key's line, or the first [sweep] header's when the section has no keys
+        message = rf"^line {line}: \[sweep\] section needs a 'parameter' key"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(self.BASE + tail)
+
     def test_axis_without_values_rejected(self):
         with pytest.raises(ConfigError, match="no values"):
             parse_config(self.BASE + "[sweep]\nparameter = g_nl\n")

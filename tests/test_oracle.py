@@ -33,6 +33,12 @@ def params(g_a=0.0, g_b=0.0, g_nl=0.0, delta_a=1.0, delta_b=0.1, lam=0.0):
     return ModelParams(g_a, g_b, g_nl, delta_a, delta_b, lam)
 
 
+def free_energies(p, states) -> np.ndarray:
+    """Free energy of each state, one at a time: the reference for the diagonal."""
+    return np.array([p.omega_a * st.m + p.omega_b * st.n + p.omega_ex * (st.s - 1)
+                     for st in states])
+
+
 class TestBasis:
     def test_enumeration_is_total_and_ordered(self):
         states = basis_states(2, 1)
@@ -135,8 +141,7 @@ class TestBuildHamiltonian:
 def reference_hamiltonian(p, states) -> np.ndarray:
     """The per-state loop over a position dict: the reference for build_hamiltonian's bits."""
     position = {st: i for i, st in enumerate(states)}
-    ham = np.diag(np.array([p.omega_a * st.m + p.omega_b * st.n + p.omega_ex * (st.s - 1)
-                            for st in states]))
+    ham = np.diag(free_energies(p, states))
     ga, gb, g_nl = p.dressed_g_a(), p.dressed_g_b(), p.g_nl
     for (s, m, n), i in position.items():
         partners = [((1, m + 1, n), ga * math.sqrt(m + 1)),
@@ -154,6 +159,8 @@ HAMILTONIAN_PARAMS = {
     "generic": params(g_a=1.2, g_b=-0.5, g_nl=0.8, delta_a=0.9, delta_b=-0.4, lam=0.3),
     "overflow+": params(g_a=1.0, g_b=1.0, g_nl=2.0, delta_a=1e308, delta_b=-1e308),
     "overflow-": params(g_a=1.0, g_b=1.0, g_nl=2.0, delta_a=-1e308, delta_b=1e308),
+    # every frequency negative: |1,0,0> sits at -0.0 on the diagonal
+    "negative": params(g_a=1.2, g_b=-0.5, g_nl=0.8, delta_a=-1.0, delta_b=0.5, lam=0.3),
 }
 
 
@@ -246,7 +253,7 @@ class TestInteractionPicture:
     def test_identity_at_time_zero(self):
         p = params(g_a=1.0, g_b=0.5, g_nl=2.0)
         psi = np.arange(12, dtype=complex).reshape(1, 12)
-        out = to_interaction_picture(psi, [0.0], p, basis_states(2, 1))
+        out = to_interaction_picture(psi, [0.0], free_energies(p, basis_states(2, 1)))
         np.testing.assert_array_equal(out, psi)
 
     @pytest.mark.parametrize("delta_a, delta_b", [(1.0, 0.1), (-1.0, 0.5)],
@@ -255,15 +262,13 @@ class TestInteractionPicture:
         # |1,0,0> has energy -0.0 when omega_a, omega_b and omega_ex are all
         # negative; |1,2,0> and |1,0,1> share an energy, and so one column
         p = params(delta_a=delta_a, delta_b=delta_b)
-        states = basis_states(2, 1)
-        e0 = np.array([p.omega_a * st.m + p.omega_b * st.n + p.omega_ex * (st.s - 1)
-                       for st in states])
+        e0 = free_energies(p, basis_states(2, 1))
         assert math.copysign(1.0, e0[0]) == (1.0 if delta_a > 0 else -1.0)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=(7, 12)) + 1j * rng.normal(size=(7, 12))
         times = np.array([0.0, -0.0, 0.4, -3.7, 1e3, 2.5e5, -1e-300])
         want = np.exp(1j * np.outer(times, e0)) * psi
-        got = to_interaction_picture(psi, times, p, states)
+        got = to_interaction_picture(psi, times, e0)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_free_evolution_gives_constant_amplitudes(self):
@@ -421,17 +426,18 @@ def reference_run_oracle(
 
     six = manifold_states(index)
     slots = [ham.states.index(st) for st in six]
+    e0 = free_energies(params, six)
     psi0 = np.zeros(len(ham.states), dtype=complex)
     y0_flat = y0.as_tuple()
     for k, slot in enumerate(slots):
         psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
 
     # to_interaction_picture at -t0 multiplies each slot by exp(-i E0 t0)
-    psi0[slots] = to_interaction_picture(psi0[slots][None, :], [-t0], params, six)[0]
+    psi0[slots] = to_interaction_picture(psi0[slots][None, :], [-t0], e0)[0]
     psi_t = reference_propagate(ham.matrix, psi0, times - t0)
     inside = (np.abs(psi_t[:, slots]) ** 2).sum(axis=1)
     total = (np.abs(psi_t) ** 2).sum(axis=1)
-    amps_c = to_interaction_picture(psi_t[:, slots], times, params, six)
+    amps_c = to_interaction_picture(psi_t[:, slots], times, e0)
 
     amplitudes = np.empty((len(amps_c), 12))
     amplitudes[:, 0::2] = amps_c.real

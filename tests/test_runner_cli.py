@@ -662,6 +662,15 @@ class TestCli:
                          FIG3_TEXT + "[sweep]\nparameter = g_nl\nvalues = 1\n")
         assert main(["run", cfg_path]) == EXIT_USAGE
 
+    def test_run_verb_rejects_empty_sweep_section(self, tmp_path, capsys):
+        # a [sweep] header with no keys is not a plain run
+        cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + "[sweep]\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg_path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: line 5: [sweep] section needs a 'parameter' key" in err
+        assert not out.exists()
+
     def test_sweep_verb_rejects_run_config(self, tmp_path):
         cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT)
         assert main(["sweep", cfg_path]) == EXIT_USAGE
@@ -1014,6 +1023,7 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}], ["preset", "fig3"],
          "linear range needs start2, stop2 and count2; missing start2 and count2"),
         ("parameter = g_nl\n", 6, "sweep axis 'g_nl' has no values or range"),
         ("\nvalues = 1, 2\nstart = 0\n", 7, "[sweep] section needs a 'parameter' key"),
+        ("", 5, "[sweep] section needs a 'parameter' key"),
         ("values2 = 1\nparameter = g_nl\nvalues = 1\n", 6,
          "sweep values2 given without parameter2"),
         ("parameter = g_nl\nvalues = 1\ncount2 = 3\nstart2 = 0\n", 8,
@@ -1021,8 +1031,8 @@ for argv in (["run", {run_cfg!r}], ["check", {run_cfg!r}], ["preset", "fig3"],
         ("parameter = g_nl\nvalues = 1\nparameter2 = g_nl\nvalues2 = 2\n", 8,
          "parameter 'g_nl' swept twice"),
         ("parameter = g_nl\nvalues = 1,,2\n", 7, "values has an empty entry (entry 2 of 3"),
-    ], ids=["partial-range", "partial-range2", "no-values", "no-parameter", "stray-values2",
-            "stray-range2", "swept-twice", "empty-entry"])
+    ], ids=["partial-range", "partial-range2", "no-values", "no-parameter", "empty",
+            "stray-values2", "stray-range2", "swept-twice", "empty-entry"])
     def test_sweep_section_error_names_line(self, tmp_path, capsys, axis, line, message):
         cfg_path = write(tmp_path / "sweep.cfg", FIG3_TEXT + "[sweep]\n" + axis)
         out = tmp_path / "out"

@@ -339,6 +339,11 @@ class TestManifest:
         assert entries["param.g_a"] == "1"
         assert entries["file.a.csv"] == sha256_file(tmp_path / "a.csv")
         verify_manifest(tmp_path / "manifest.txt")
+        # a blank line and a line without '=' are skipped
+        with open(tmp_path / "manifest.txt", "a", encoding="utf-8") as fh:
+            fh.write("\n# note\n")
+        assert parse_manifest(tmp_path / "manifest.txt") == entries
+        verify_manifest(tmp_path / "manifest.txt")
 
     def test_tampering_detected(self, tmp_path):
         (tmp_path / "a.csv").write_text("t,p2\n0,1\n")
