@@ -28,8 +28,8 @@ times its largest term, below the rounding of its own sum; at the cutoffs
 (16, 16) about two thirds of the modes go.  A non-finite weight keeps every
 mode, and so does restricted mode, whose six states are the whole basis.
 
-Both modes assemble the matrix from the same ladder-operator elements on an
-explicit list of basis states.  Restricted mode works on the six manifold
+Both modes assemble the matrix from the same ladder-operator elements on
+(s, m, n) arrays of basis states.  Restricted mode works on the six manifold
 states alone, reproducing the truncation behind the amplitude equations
 exactly, and takes no cutoffs.  Full mode takes every state the cutoffs
 allow, so the probability that leaks out of the manifold measures the
@@ -38,7 +38,6 @@ truncation error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -54,7 +53,6 @@ __all__ = [
     "FockOperatorMatrix",
     "OracleResult",
     "MAX_FULL_CUTOFF",
-    "basis_states",
     "basis_index",
     "manifold_states",
     "resolve_cutoffs",
@@ -80,13 +78,8 @@ class BasisState(NamedTuple):
     n: int
 
 
-def basis_states(n_a: int, n_b: int) -> list[BasisState]:
-    """Total ordered enumeration: s-major, then m, then n."""
-    return list(map(BasisState._make, itertools.product((1, 2), range(n_a + 1), range(n_b + 1))))
-
-
 def basis_index(s: int, m: int, n: int, n_a: int, n_b: int) -> int:
-    """Position of |s, m, n> in the basis_states ordering."""
+    """Position of |s, m, n> in the full-mode basis: s-major, then m, then n."""
     return (s - 1) * (n_a + 1) * (n_b + 1) + m * (n_b + 1) + n
 
 
@@ -129,21 +122,14 @@ def resolve_cutoffs(index: ManifoldIndex, n_a: int | None = None,
 
 @dataclass(frozen=True)
 class FockOperatorMatrix:
-    """Dense real symmetric Hamiltonian and the basis states that index its rows.
+    """Dense real symmetric Hamiltonian and the rows of its manifold.
 
     `manifold` holds the rows of the six manifold_states(index), in
     amplitude order a..f.
     """
 
     matrix: np.ndarray
-    states: list[BasisState]
     manifold: np.ndarray
-
-
-def _quanta(states) -> np.ndarray:
-    """The (s, m, n) of each basis state, as the three rows of an int array."""
-    flat = itertools.chain.from_iterable(states)
-    return np.fromiter(flat, dtype=np.int64, count=3 * len(states)).reshape(-1, 3).T
 
 
 def _row_table(s, m, n):
@@ -167,7 +153,8 @@ def build_hamiltonian(
 ) -> FockOperatorMatrix:
     """Assemble the transformed Hamiltonian with the phonon operator at its mean exp(-lam/2).
 
-    Full mode works on basis_states(n_a, n_b), with the cutoffs checked by
+    Full mode works on every |s, m, n> with m <= n_a and n <= n_b, rows in
+    basis_index order (s-major, then m, then n), with the cutoffs checked by
     resolve_cutoffs, so None takes the smallest valid one.  Restricted mode
     ignores the cutoffs and works on the six manifold_states(index) in
     amplitude order, so its matrix is the 6x6 manifold block of the full one.
@@ -175,15 +162,17 @@ def build_hamiltonian(
     the matrix is float64 and exactly symmetric by construction.  An element
     that overflows is inf (and an inf energy times no quanta nan), silently.
     """
-    six = manifold_states(index)
     if mode == "full":
-        states = basis_states(*resolve_cutoffs(index, n_a, n_b))
-    elif mode == "restricted":
-        states = list(six)
-    else:
+        n_a, n_b = resolve_cutoffs(index, n_a, n_b)
+        s, m, n = np.indices((2, n_a + 1, n_b + 1), dtype=np.int64).reshape(3, -1)
+        s += 1
+    elif mode != "restricted":
         raise ConfigError(f"oracle mode must be 'restricted' or 'full', got {mode!r}")
+    # after the checks, so an index past int64 still raises their ConfigError
+    six = np.array(manifold_states(index), dtype=np.int64).T
+    if mode == "restricted":
+        s, m, n = six
 
-    s, m, n = _quanta(states)
     rows = _row_table(s, m, n)
     ga, gb, g_nl = params.dressed_g_a(), params.dressed_g_b(), params.g_nl
     # the photon product as an exact integer, as math.sqrt takes it; object
@@ -210,7 +199,7 @@ def build_hamiltonian(
             i, j = i[found], j[found]
             ham[i, j] = ham[j, i] = value[found]
 
-    return FockOperatorMatrix(matrix=ham, states=states, manifold=rows(*_quanta(six)))
+    return FockOperatorMatrix(matrix=ham, manifold=rows(*six))
 
 
 def _sample_lattice(times, scale: float):

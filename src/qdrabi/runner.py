@@ -240,15 +240,11 @@ def run_sweep(sweep: SweepConfig, out_dir, workers: int = 1) -> RunOutcome:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(workers, len(points), cpus)
-    # about 32 chunks a worker: large grids amortise the per-item round trip
-    # and the last chunks still balance the workers
-    chunksize = max(1, len(points) // (32 * workers))
     # an attribute of the module, not a bare global name: that lookup imports the
     # pool on first use and finds a class that replaced it
     with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        results = (pool.map(_sweep_point, jobs, chunksize=chunksize) if workers > 1
-                   else map(_sweep_point, jobs))
+        results = (pool.map if workers > 1 else map)(_sweep_point, jobs)
         for i, outcome in results:
             point, values = name(i), points[i][0]
             cells = [fmt(v) for v in values]

@@ -20,10 +20,10 @@ from qdrabi import (
     to_interaction_picture,
 )
 from qdrabi.oracle import (
+    BasisState,
     OracleResult,
     _sample_lattice,
     basis_index,
-    basis_states,
     manifold_states,
     resolve_cutoffs,
 )
@@ -39,15 +39,30 @@ def free_energies(p, states) -> np.ndarray:
                      for st in states])
 
 
+def box_states(n_a, n_b) -> list[BasisState]:
+    """Every |s, m, n> within the cutoffs, s-major, then m, then n: the full-mode rows."""
+    return [BasisState(s, m, n) for s in (1, 2) for m in range(n_a + 1) for n in range(n_b + 1)]
+
+
+def mode_states(mode, index, n_a=None, n_b=None) -> list[BasisState]:
+    """The states that index build_hamiltonian's rows, enumerated here on their own."""
+    if mode == "full":
+        return box_states(*resolve_cutoffs(index, n_a, n_b))
+    return list(manifold_states(index))
+
+
 class TestBasis:
     def test_enumeration_is_total_and_ordered(self):
-        states = basis_states(2, 1)
-        assert len(states) == 2 * 3 * 2
-        assert [s.s for s in states[:6]] == [1] * 6
-        assert [(s.m, s.n) for s in states[:6]] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        states = box_states(4, 3)
+        assert len(states) == 2 * 5 * 4
+        assert [s.s for s in states[:20]] == [1] * 20
+        assert [(s.m, s.n) for s in states[:6]] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]
         for i, state in enumerate(states):
-            assert basis_index(state.s, state.m, state.n, 2, 1) == i
-        assert states == [(s, m, n) for s in (1, 2) for m in range(3) for n in range(2)]
+            assert basis_index(state.s, state.m, state.n, 4, 3) == i
+        # the full matrix's diagonal holds each state's free energy in that order
+        p = params(g_a=1.2, g_b=0.5, g_nl=0.8, delta_a=0.9, delta_b=-0.4, lam=0.3)
+        diagonal = np.diag(build_hamiltonian(p, 4, 3).matrix)
+        assert np.array_equal(diagonal.view(np.uint64), free_energies(p, states).view(np.uint64))
 
     def test_manifold_matches_amplitude_order(self):
         six = manifold_states(ManifoldIndex(1, 2))
@@ -135,7 +150,7 @@ class TestBuildHamiltonian:
         got = build_hamiltonian(p, mode=mode)
         want = build_hamiltonian(p, *cutoffs, mode=mode)
         assert np.array_equal(got.matrix, want.matrix)
-        assert got.states == want.states
+        assert np.array_equal(got.manifold, want.manifold)
 
 
 def reference_hamiltonian(p, states) -> np.ndarray:
@@ -166,27 +181,29 @@ HAMILTONIAN_PARAMS = {
 
 class TestHamiltonianBits:
     @pytest.mark.parametrize("name", sorted(HAMILTONIAN_PARAMS))
-    @pytest.mark.parametrize("mode, cutoffs", [("restricted", None), ("full", None),
-                                               ("full", 16)], ids=["restricted", "full-min",
-                                                                   "full-16"])
+    @pytest.mark.parametrize("mode, cutoffs", [("restricted", (None, None)),
+                                               ("full", (None, None)), ("full", (16, 16)),
+                                               ("full", (16, 5))],
+                             ids=["restricted", "full-min", "full-16", "full-16-5"])
     @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 2), (3, 1)])
     def test_matches_per_state_loop(self, name, mode, cutoffs, m, n):
         p, index = HAMILTONIAN_PARAMS[name], ManifoldIndex(m, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow is a silent inf, as in the loop
-            ham = build_hamiltonian(p, cutoffs, cutoffs, mode=mode, index=index)
-        want = reference_hamiltonian(p, ham.states)
+            ham = build_hamiltonian(p, *cutoffs, mode=mode, index=index)
+        states = mode_states(mode, index, *cutoffs)
+        want = reference_hamiltonian(p, states)
         assert np.array_equal(ham.matrix.view(np.uint64), want.view(np.uint64))
         # an overflowed energy is inf, or nan where an inf frequency meets no quanta
         assert np.isfinite(ham.matrix).all() != name.startswith("overflow")
-        assert list(ham.manifold) == [ham.states.index(st) for st in manifold_states(index)]
+        assert list(ham.manifold) == [states.index(st) for st in manifold_states(index)]
 
     def test_photon_products_past_int64(self):
         # (n+1)(m+1)(m+2) near 1e27: math.sqrt rounds the exact integer once
         index = ManifoldIndex(10**9, 10**9)
         p = HAMILTONIAN_PARAMS["generic"]
         ham = build_hamiltonian(p, mode="restricted", index=index)
-        want = reference_hamiltonian(p, ham.states)
+        want = reference_hamiltonian(p, mode_states("restricted", index))
         assert np.array_equal(ham.matrix.view(np.uint64), want.view(np.uint64))
 
 
@@ -253,7 +270,7 @@ class TestInteractionPicture:
     def test_identity_at_time_zero(self):
         p = params(g_a=1.0, g_b=0.5, g_nl=2.0)
         psi = np.arange(12, dtype=complex).reshape(1, 12)
-        out = to_interaction_picture(psi, [0.0], free_energies(p, basis_states(2, 1)))
+        out = to_interaction_picture(psi, [0.0], free_energies(p, box_states(2, 1)))
         np.testing.assert_array_equal(out, psi)
 
     @pytest.mark.parametrize("delta_a, delta_b", [(1.0, 0.1), (-1.0, 0.5)],
@@ -262,7 +279,7 @@ class TestInteractionPicture:
         # |1,0,0> has energy -0.0 when omega_a, omega_b and omega_ex are all
         # negative; |1,2,0> and |1,0,1> share an energy, and so one column
         p = params(delta_a=delta_a, delta_b=delta_b)
-        e0 = free_energies(p, basis_states(2, 1))
+        e0 = free_energies(p, box_states(2, 1))
         assert math.copysign(1.0, e0[0]) == (1.0 if delta_a > 0 else -1.0)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=(7, 12)) + 1j * rng.normal(size=(7, 12))
@@ -424,10 +441,10 @@ def reference_run_oracle(
     times = np.asarray(times, dtype=float)
     t0 = times[0] if len(times) else 0.0
 
-    six = manifold_states(index)
-    slots = [ham.states.index(st) for st in six]
+    six, states = manifold_states(index), mode_states(mode, index, n_a, n_b)
+    slots = [states.index(st) for st in six]
     e0 = free_energies(params, six)
-    psi0 = np.zeros(len(ham.states), dtype=complex)
+    psi0 = np.zeros(len(states), dtype=complex)
     y0_flat = y0.as_tuple()
     for k, slot in enumerate(slots):
         psi0[slot] = complex(y0_flat[2 * k], y0_flat[2 * k + 1])
@@ -529,9 +546,9 @@ PHASE_GRIDS = {
 def phase_systems():
     """(Hamiltonian, psi0, components): the dim-578 fig3 matrix and a small complex one."""
     p = preset_config("fig3").to_model_params()
-    ham = build_hamiltonian(p, 16, 16)
-    slots = [ham.states.index(st) for st in manifold_states(ManifoldIndex())]
-    psi0 = np.zeros(len(ham.states), dtype=complex)
+    ham, states = build_hamiltonian(p, 16, 16), box_states(16, 16)
+    slots = [states.index(st) for st in manifold_states(ManifoldIndex())]
+    psi0 = np.zeros(len(states), dtype=complex)
     psi0[slots[3]] = 1.0
     rng = np.random.default_rng(31)
     mat = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))

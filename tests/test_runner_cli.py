@@ -256,6 +256,21 @@ class TestOracleCheck:
             assert entries["status"] == "oracle-mismatch"
             assert entries["error"] == "oracle deviation nan is not finite"
 
+    def test_nonfinite_leakage_with_finite_deviation_exits_3(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(qdrabi.oracle.OracleResult, "max_leakage", lambda self: math.nan)
+        cfg_path = write(tmp_path / "run.cfg", FIG3_TEXT + FAST_CHECK)
+        out = tmp_path / "out"
+        assert main(["check", cfg_path, "--out", str(out)]) == EXIT_ORACLE
+        assert "qdrabi: oracle leakage nan is not finite" in capsys.readouterr().err
+        report = parse_manifest(out / "deviation.txt")
+        assert report["status"] == "mismatch"
+        assert float(report["max_deviation"]) < 1e-8
+        verify_manifest(out / "manifest.txt")
+        entries = parse_manifest(out / "manifest.txt")
+        assert entries["status"] == "oracle-mismatch"
+        assert entries["error"] == "oracle leakage nan is not finite"
+
     @pytest.mark.parametrize("verb", ["run", "check", "sweep"])
     @pytest.mark.parametrize("key, mode", [("cutoff_a", ""), ("cutoff_b", ""),
                                            ("cutoff_a", "oracle_mode = restricted\n")],
