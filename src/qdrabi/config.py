@@ -2,8 +2,9 @@
 
 The format is deliberately minimal: one `key = value` pair per line,
 `#` comments, and two optional section headers `[run]` and `[sweep]`.
-Keys before any header belong to [run].  Unknown keys are rejected with
-the offending line number.  Floats survive a write/parse round trip
+A line ends at LF, CR LF or CR, so an error's line number is the one an
+editor shows.  Keys before any header belong to [run].  Unknown keys are
+rejected with the offending line number.  Floats survive a write/parse round trip
 exactly (17 significant digits).  One table, `_KEYS`, gives each [run] key
 its field, parser and check; a swept value passes the same parse and check
 as the [run] key it replaces, and a sweep grid holds at most MAX_POINTS
@@ -18,9 +19,9 @@ Huang-Rhys factor may be given as `lambda` or derived from an explicit
 
 from __future__ import annotations
 
-import codecs
 import itertools
 import math
+import re
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -92,6 +93,9 @@ _BOOL_FALSE = {"false", "no", "off", "0"}
 # characters of an offending text that an error quotes: a longer text is cut
 # to them and its length, so a message stays short however long its line is
 _QUOTED_CHARS = 24
+# a line ends at LF, CR LF or CR, as editors and grep -n count lines; a form
+# feed, NEL or U+2028 stays inside its line, where str.splitlines would break
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -205,28 +209,6 @@ def _quote(text: str) -> str:
     return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
-def _tokenize(text: str):
-    """Yield (section, key, value, lineno); keys before a header sit in 'run'.
-
-    A header yields its section with key and value None.
-    """
-    section = "run"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if line not in ("[run]", "[sweep]"):
-                raise ConfigError(f"unknown section {_quote(line)}", line=lineno)
-            section = line[1:-1]
-            yield section, None, None, lineno
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {_quote(line)}", line=lineno)
-        key, _, value = line.partition("=")
-        yield section, key.strip(), value.strip(), lineno
-
-
 def _parse_float(key, text, lineno) -> float:
     try:
         value = float(text)
@@ -330,25 +312,6 @@ def _parse_modes(text, lineno) -> tuple[tuple[float, float], ...]:
             _parse_float("phonon_modes", w_text.strip(), lineno),
         ))
     return tuple(pairs)
-
-
-def _collect(text: str):
-    """The [run] and [sweep] key tables, and the first [sweep] header's line or None."""
-    run: dict[str, tuple[str, int]] = {}
-    sweep: dict[str, tuple[str, int]] = {}
-    header = None
-    for section, key, value, lineno in _tokenize(text):
-        if key is None:  # a section header
-            if header is None and section == "sweep":
-                header = lineno
-            continue
-        table, known = (run, _RUN_KEYS) if section == "run" else (sweep, _SWEEP_KEYS)
-        if key not in known:
-            raise ConfigError(f"unknown key {_quote(key)} in [{section}] section", line=lineno)
-        if key in table:
-            raise ConfigError(f"duplicate key '{key}'", line=lineno)
-        table[key] = (value, lineno)
-    return run, sweep, header
 
 
 def _resolve_run(run: dict, swept: set[str]) -> RunConfig:
@@ -504,32 +467,56 @@ def _resolve_sweep(run: dict, sweep: dict, header: int) -> SweepConfig:
 
 
 def parse_config(text: str):
-    """Parse config text into a RunConfig or, if a [sweep] section exists, a SweepConfig."""
-    run, sweep, header = _collect(text)
+    """Parse config text into a RunConfig or, if a [sweep] section exists, a SweepConfig.
+
+    One pass over the lines fills a (text, line) table per section and notes
+    the first [sweep] header's line; keys before any header sit in [run].
+    """
+    tables = {"run": {}, "sweep": {}}
+    section, header = "run", None
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if line not in ("[run]", "[sweep]"):
+                raise ConfigError(f"unknown section {_quote(line)}", line=lineno)
+            section = line[1:-1]
+            if header is None and section == "sweep":
+                header = lineno
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {_quote(line)}", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in (_RUN_KEYS if section == "run" else _SWEEP_KEYS):
+            raise ConfigError(f"unknown key {_quote(key)} in [{section}] section", line=lineno)
+        if key in tables[section]:
+            raise ConfigError(f"duplicate key '{key}'", line=lineno)
+        tables[section][key] = (value.strip(), lineno)
     if header is not None:
-        return _resolve_sweep(run, sweep, header)
-    return _resolve_run(run, set())
+        return _resolve_sweep(tables["run"], tables["sweep"], header)
+    return _resolve_run(tables["run"], set())
 
 
 def parse_config_file(path):
     """Parse a config file; bytes that are not UTF-8 are a ConfigError naming their line.
 
-    A leading UTF-8 byte order mark is dropped before decoding.  A file of
-    more than MAX_CONFIG_BYTES bytes is a ConfigError; no more than one byte
-    past the bound is read.
+    The utf-8-sig codec drops a leading UTF-8 byte order mark, and its
+    error offsets do not count the mark.  A file of more than
+    MAX_CONFIG_BYTES bytes is a ConfigError; no more than one byte past the
+    bound is read.
     """
     with open(path, "rb") as fh:
         data = fh.read(MAX_CONFIG_BYTES + 1)
     if len(data) > MAX_CONFIG_BYTES:
         raise ConfigError(f"config is larger than the limit of {MAX_CONFIG_BYTES} bytes")
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8):]
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; "x" stands in for it, so the
-        # count includes its line even when a line break comes just before it
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        # the bytes before the bad one decode, and the bad one sits on the
+        # line after the last line end among them
+        line = len(_LINE_END.split(exc.object[:exc.start].decode("utf-8")))
         raise ConfigError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                           line=line) from None
     return parse_config(text)

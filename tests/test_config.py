@@ -41,6 +41,44 @@ class TestRunParsing:
             parse_config(text)
         assert "bogus" in str(err.value)
 
+    @pytest.mark.parametrize("tail, line, message", [
+        ("t_end 10\n", 5, "expected 'key = value', got 't_end 10'"),
+        ("[sweep]\nparameter = g_nl\nvalues = 1\nt_end = 10\n", 8,
+         "unknown key 't_end' in [sweep] section"),
+        ("[sweep]\nparameter = g_nl\nvalues = 1\n[run]\n[sweep]\nvalues = 2\n", 10,
+         "duplicate key 'values'"),
+        ("[sweep]\nparameter = g_nl\nvalues = 1\n[run]\nparameter = m\n", 9,
+         "unknown key 'parameter' in [run] section"),
+        ("[sweep]   \nparameter = g_nl\n[run]  # back\nvalues = 1\n", 8,
+         "unknown key 'values' in [run] section"),
+        ("[sweep] # axes\nparameter = g_nl\nvalues = 1\ng_nl = 3\n", 8,
+         "unknown key 'g_nl' in [sweep] section"),
+    ], ids=["no-equals", "unknown-sweep-key", "second-sweep-duplicate", "later-run-header",
+            "header-trailing-spaces", "header-comment"])
+    def test_line_pass_errors_name_their_line(self, tail, line, message):
+        # the pass over the lines raises these before any value is parsed
+        with pytest.raises(ConfigError) as err:
+            parse_config(FIG3 + tail)
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_crlf_and_cr(self, end):
+        assert parse_config(FIG3.replace("\n", end)) == preset_config("fig3")
+        with pytest.raises(ConfigError, match="^line 5: unknown key 'bogus'"):
+            parse_config((FIG3 + "bogus = 1\n").replace("\n", end))
+
+    @pytest.mark.parametrize("text", [
+        "g_nl = 2\n\f\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\nbogus = 1\n",
+        "g_nl = 2\ndelta_a = 1  # fig3\u2028caption\ndelta_b = 0.1\nlambda = 0.01\n\nbogus = 1\n",
+    ], ids=["form-feed-line", "mid-line-u2028"])
+    def test_only_lf_cr_crlf_end_a_line(self, text):
+        # grep -n and editors put bogus on line 6; str.splitlines also breaks at the
+        # form feed and U+2028, which would put it on line 7
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "line 6: unknown key 'bogus' in [run] section"
+
     @pytest.mark.parametrize("text, line, reason", [
         ("g_nl = twelve\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\n", 1, ""),
         ("g_nl = 2\ndelta_a = 1\ndelta_b = 0.1\nlambda = 0.01\noracle = maybe\n", 5,

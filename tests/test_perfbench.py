@@ -2,10 +2,17 @@
 
 perfbench wraps internal names of the package when it traces and reads
 internal results when it checks an op, so a change under src/ can break it
-while the package's own tests pass.  `spans.install` looks up every wrapped
-name whatever the workload, and between them the coarse_sweep and
-leakage_check checkers read every coupling, so a short traced run of each
-covers what the benchmark depends on.  The run works on a copy of src/ and
+while the package's own tests pass.  It wraps runner._sweep_point,
+runner.ProcessPoolExecutor (resolved on first use), oracle.basis_index and
+build_hamiltonian with its positional cutoffs; it reads the output path from
+the first argument of runner.write_timeseries_csv(path, series) and
+runner.write_p2_csv(path, p2_text), which takes the text the first returned,
+and reads TimeSeries.p2, to_dynamics_spec().y0.as_tuple(),
+SweepConfig.points() as a list and .s/.m/.n of the elements of
+oracle.manifold_states(...).  `spans.install` looks up every wrapped name
+whatever the workload, and between them the coarse_sweep and leakage_check
+checkers read every coupling, so a short traced run of each covers what the
+benchmark depends on.  The run works on a copy of src/ and
 perfbench/, since perfbench writes its work and span files next to them.
 """
 

@@ -758,13 +758,18 @@ class TestCli:
             found["manifest.txt"] = [line for line in found["manifest.txt"].splitlines()
                                      if not line.startswith((b"duration_s = ", b"phase."))]
         assert files[0] == files[1]
-        # the mark is not counted in the byte offsets of a later bad byte
-        marked.write_bytes(codecs.BOM_UTF8 + b"g_nl = 2\ndelta_a = 1\n\xff\n")
+        # the mark is not counted in the byte offsets of a later bad byte, and
+        # a CR LF ends one line, not two
         capsys.readouterr()
-        assert main(["run", str(marked), "--out", str(tmp_path / "bad")]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "config error: line 3: not UTF-8 text" in err and "Traceback" not in err
-        assert not (tmp_path / "bad").exists()
+        for end in ("\n", "\r\n"):
+            marked.write_bytes(codecs.BOM_UTF8 + f"g_nl = 2{end}delta_a = 1{end}".encode()
+                               + b"\xff\n")
+            assert main(["run", str(marked), "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            at = 19 + 2 * len(end)  # the bytes of the two lines, not the mark's
+            assert f"config error: line 3: not UTF-8 text (invalid start byte at byte {at})" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "bad").exists()
 
     def test_oversized_config_exits_1(self, tmp_path, capsys):
         # a sparse file one byte over the bound: only the bound plus one byte
